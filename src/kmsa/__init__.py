@@ -36,7 +36,6 @@ from .types import (
     KmsaConfig,
     KmsaModel,
     MultiviewDataset,
-    ViewState,
     validate_config,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "NonMonotoneWarning",
     "NumericError",
     "VersionError",
-    "ViewState",
     "WeightDomainWarning",
     "build_kernel",
     "fit",

@@ -104,7 +104,7 @@ def cmd_fit(args) -> int:
     write_fit_outputs(out_dir, model, data)
     m = len(model.embeddings)
     divergences = [
-        optimizer.gram_divergence(model.states[v].U, model.states[w].U)
+        optimizer.gram_divergence(model.coefficients[v], model.coefficients[w])
         for v in range(m)
         for w in range(v + 1, m)
     ]
@@ -160,7 +160,6 @@ def evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs):
     model = optimizer.fit(train, cfg)
     test_embedded = optimizer.transform(model, test.views, train)
     per_view = []
-    details = []
     for v in range(data.n_views):
         if task == "classification":
             acc = evaluation.knn_classify(
@@ -172,8 +171,7 @@ def evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs):
                 test_embedded[v], model.embeddings[v], test.labels, train.labels, cutoffs
             )
             per_view.append(rep.per_view[0])
-            details.append(rep.details[0])
-    return evaluation.build_report(task, per_view, details), model
+    return evaluation.build_report(task, per_view), model
 
 
 def cmd_eval(args) -> int:

@@ -3,8 +3,9 @@
 File conventions: matrices are plain CSV with one sample per row; an optional
 header row is detected by a non-numeric first cell. Floats serialize with 17
 significant digits, which round-trips IEEE doubles exactly. A model is a
-directory of per-view matrix CSVs plus a JSON manifest with sorted keys and a
-format-version field.
+directory holding manifest.json (sorted keys, with a format-version field)
+and per view v the coefficient matrix coefficients_<v>.csv and the training
+embedding embedding_<v>.csv, plus an optional train/ dataset.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, IoError, VersionError
-from .types import KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset, ViewState
+from .types import KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def format_float(x: float) -> str:
@@ -177,37 +178,30 @@ def generate_synthetic(
     return MultiviewDataset(views=views, labels=labels, view_names=names)
 
 
-def _kernel_spec_manifest(spec: KernelSpec) -> dict:
-    return spec.to_dict()
-
-
 def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = None) -> None:
-    """Write a model directory: manifest.json plus per-view K/P/M/U/Y CSVs.
+    """Write a model directory: manifest.json plus per-view coefficient and
+    embedding CSVs.
 
     When train_data is given it is stored under train/ so out-of-sample
     transformation needs nothing else.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    m = len(model.states)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "n_views": m,
+        "n_views": len(model.coefficients),
         "alpha": [format_float(a) for a in model.alpha],
         "objective_trace": [format_float(g) for g in model.objective_trace],
         "config": model.config.to_dict(),
-        "kernels": [_kernel_spec_manifest(k) for k in model.kernels],
+        "kernels": [k.to_dict() for k in model.kernels],
         "log": list(model.log),
     }
     (path / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    for v, vs in enumerate(model.states, start=1):
-        write_matrix_csv(path / f"kernel_{v}.csv", vs.K)
-        write_matrix_csv(path / f"graph_{v}.csv", vs.P)
-        write_matrix_csv(path / f"constraint_{v}.csv", vs.M)
-        write_matrix_csv(path / f"coefficients_{v}.csv", vs.U)
-        write_matrix_csv(path / f"embedding_{v}.csv", model.embeddings[v - 1])
+    for v, (U, Y) in enumerate(zip(model.coefficients, model.embeddings), start=1):
+        write_matrix_csv(path / f"coefficients_{v}.csv", U)
+        write_matrix_csv(path / f"embedding_{v}.csv", Y)
     if train_data is not None:
         save_dataset(train_data, path / "train")
 
@@ -227,24 +221,12 @@ def load_model(path) -> KmsaModel:
         raise VersionError(
             f"model format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
-    m = int(manifest["n_views"])
-    states = []
-    embeddings = []
-    for v in range(1, m + 1):
-        states.append(
-            ViewState(
-                K=read_matrix_csv(path / f"kernel_{v}.csv"),
-                P=read_matrix_csv(path / f"graph_{v}.csv"),
-                M=read_matrix_csv(path / f"constraint_{v}.csv"),
-                U=read_matrix_csv(path / f"coefficients_{v}.csv"),
-            )
-        )
-        embeddings.append(read_matrix_csv(path / f"embedding_{v}.csv"))
+    views = range(1, int(manifest["n_views"]) + 1)
     return KmsaModel(
-        states=tuple(states),
+        coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
         alpha=np.array([float(a) for a in manifest["alpha"]]),
         objective_trace=tuple(float(g) for g in manifest["objective_trace"]),
-        embeddings=tuple(embeddings),
+        embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
         config=KmsaConfig.from_dict(manifest["config"]),
         kernels=tuple(KernelSpec.from_dict(k) for k in manifest["kernels"]),
         log=tuple(manifest.get("log", [])),

@@ -19,12 +19,11 @@ from .errors import DimensionError, EvalError
 class EvalReport:
     """task is "classification" or "retrieval"; per_view holds one metric
     record per evaluated view; best_view is the index with the highest
-    headline metric; details carries PR-curve points per view for retrieval."""
+    headline metric."""
 
     task: str
     per_view: tuple
     best_view: int
-    details: tuple = ()
 
 
 def knn_classify(
@@ -135,10 +134,7 @@ def retrieval_metrics(
         "f1": f1.tolist(),
         "map": float(np.mean(ap_values)),
     }
-    pr_points = tuple(zip(recall.tolist(), precision.tolist()))
-    return EvalReport(
-        task="retrieval", per_view=(record,), best_view=0, details=(pr_points,)
-    )
+    return EvalReport(task="retrieval", per_view=(record,), best_view=0)
 
 
 def headline_metric(task: str, record: dict) -> float:
@@ -146,11 +142,9 @@ def headline_metric(task: str, record: dict) -> float:
     return record["accuracy"] if task == "classification" else record["map"]
 
 
-def build_report(task: str, per_view, details=()) -> EvalReport:
+def build_report(task: str, per_view) -> EvalReport:
     """Assemble a multiview report; best_view maximizes the headline metric
     (ties to the lowest view index)."""
     scores = [headline_metric(task, rec) for rec in per_view]
     best = int(np.argmax(scores)) if scores else 0
-    return EvalReport(
-        task=task, per_view=tuple(per_view), best_view=best, details=tuple(details)
-    )
+    return EvalReport(task=task, per_view=tuple(per_view), best_view=best)

@@ -28,42 +28,62 @@ from .eigsolver import generalized_eigh
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
 from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
-from .types import KmsaConfig, KmsaModel, MultiviewDataset, ViewState, validate_config
+from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
 MONOTONE_SLACK = 1e-8
 TRACE_FLOOR = 1e-12
 
 
+@dataclass(frozen=True)
+class ViewState:
+    """Per-view fit-time matrices: kernel K, the symmetrized graph quadratic
+    KPK = K P K (a constant of the fit), ridged constraint M, and coefficient
+    matrix U (N x d, M-orthonormal columns)."""
+
+    K: np.ndarray
+    KPK: np.ndarray
+    M: np.ndarray
+    U: np.ndarray
+
+
 @dataclass
 class OptState:
-    """Mutable optimizer state: per-view matrices, simplex weights, sweep
-    counter, and the recorded objective values."""
+    """Mutable optimizer state: per-view matrices, simplex weights, and the
+    recorded objective values."""
 
     states: list
     alpha: np.ndarray
-    iter: int
     objective_trace: list
 
 
-def _kpk(state: ViewState) -> np.ndarray:
-    H = state.K @ state.P @ state.K
-    return 0.5 * (H + H.T)
+def _trace_parts(states) -> tuple:
+    """Per-view tr(U_v^T KPK_v U_v) and the symmetric matrix of pairwise
+    ||U_w^T U_v||_F^2 (zero diagonal)."""
+    m = len(states)
+    embed = np.array([float(np.sum(vs.U * (vs.KPK @ vs.U))) for vs in states])
+    cross = np.zeros((m, m))
+    for v in range(m):
+        for w in range(v + 1, m):
+            C = states[w].U.T @ states[v].U
+            cross[v, w] = cross[w, v] = float(np.sum(C * C))
+    return embed, cross
 
 
 def objective_terms(state: OptState, cfg: KmsaConfig) -> dict:
     """The three objective components, computed independently."""
     a_r = state.alpha ** cfg.r
-    embed = 0.0
-    for v, vs in enumerate(state.states):
-        embed += a_r[v] * float(np.sum(vs.U * (_kpk(vs) @ vs.U)))
-    regularizer = cfg.kappa * float(np.sum(a_r))
-    align = 0.0
-    m = len(state.states)
-    for v in range(m):
-        for w in range(v + 1, m):
-            cross = state.states[w].U.T @ state.states[v].U
-            align += (a_r[v] + a_r[w]) / (2.0 * cfg.eta) * float(np.sum(cross * cross))
-    return {"embedding": embed, "weight_regularizer": regularizer, "alignment": align}
+    embed, cross = _trace_parts(state.states)
+    m = len(embed)
+    align = sum(
+        (a_r[v] + a_r[w]) / (2.0 * cfg.eta) * cross[v, w]
+        for v in range(m)
+        for w in range(v + 1, m)
+    )
+    return {
+        "embedding": float(sum(a_r * embed)),
+        "weight_regularizer": cfg.kappa * float(np.sum(a_r)),
+        "alignment": float(align),
+    }
 
 
 def objective(state: OptState, cfg: KmsaConfig) -> float:
@@ -90,7 +110,7 @@ def build_h(state: OptState, v: int, cfg: KmsaConfig) -> np.ndarray:
     alpha = state.alpha
     if alpha[v] <= 0.0:
         raise NumericError(f"view weight alpha[{v}] underflowed to {alpha[v]}")
-    H = _kpk(state.states[v])
+    H = state.states[v].KPK
     for w, vs in enumerate(state.states):
         if w == v:
             continue
@@ -107,19 +127,13 @@ def update_view(state: OptState, v: int, cfg: KmsaConfig) -> np.ndarray:
 
 
 def view_trace_terms(state: OptState, cfg: KmsaConfig) -> np.ndarray:
-    """Per-view weight-update traces tr(U_v^T J_v U_v) with
-    J_v = K P K + (r kappa / N) I + sum_{w != v} (1/(2 eta)) U_w U_w^T."""
-    m = len(state.states)
+    """Per-view weight-update traces
+    tr(U_v^T K P K U_v) + (r kappa / N) ||U_v||_F^2
+    + sum_{w != v} ||U_w^T U_v||_F^2 / (2 eta)."""
+    embed, cross = _trace_parts(state.states)
     n = state.states[0].K.shape[0]
-    traces = np.empty(m)
-    for v, vs in enumerate(state.states):
-        J = _kpk(vs) + (cfg.r * cfg.kappa / n) * np.eye(n)
-        for w, other in enumerate(state.states):
-            if w == v:
-                continue
-            J = J + (1.0 / (2.0 * cfg.eta)) * (other.U @ other.U.T)
-        traces[v] = float(np.sum(vs.U * (J @ vs.U)))
-    return traces
+    norms = np.array([float(np.sum(vs.U * vs.U)) for vs in state.states])
+    return embed + (cfg.r * cfg.kappa / n) * norms + cross.sum(axis=1) / (2.0 * cfg.eta)
 
 
 def closed_form_weights(traces: np.ndarray, r: float):
@@ -142,19 +156,6 @@ def closed_form_weights(traces: np.ndarray, r: float):
     return raw / raw.sum(), clamped
 
 
-def update_weights(state: OptState, cfg: KmsaConfig) -> np.ndarray:
-    """Closed-form view weights from the current coefficient matrices. Emits
-    WeightDomainWarning when any trace term had to be clamped."""
-    alpha, clamped = closed_form_weights(view_trace_terms(state, cfg), cfg.r)
-    if clamped.any():
-        warnings.warn(
-            f"clamped non-positive trace terms for views {np.nonzero(clamped)[0].tolist()}",
-            WeightDomainWarning,
-            stacklevel=2,
-        )
-    return alpha
-
-
 def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
     """Kernels, graph quadratics, and ridged constraints for every view."""
     m = data.n_views
@@ -168,9 +169,10 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
         K = build_kernel(X, spec, center=cfg.center_kernel)
         pair = build_graph(X, data.labels, recipe)
         notes.extend(pair.notes)
-        P = laplacian(pair.S)
+        KPK = K @ laplacian(pair.S) @ K
+        KPK = 0.5 * (KPK + KPK.T)
         M = constraint_matrix(K, pair, cfg.ridge)
-        states.append(ViewState(K=K, P=P, M=M, U=np.zeros((K.shape[0], cfg.d))))
+        states.append(ViewState(K=K, KPK=KPK, M=M, U=np.zeros((K.shape[0], cfg.d))))
     return states, tuple(specs), notes
 
 
@@ -191,20 +193,14 @@ def fit(
     m = data.n_views
 
     for v, vs in enumerate(states):
-        _, U = generalized_eigh(_kpk(vs), vs.M, cfg.d)
+        _, U = generalized_eigh(vs.KPK, vs.M, cfg.d)
         states[v] = replace(vs, U=U)
 
-    state = OptState(
-        states=states,
-        alpha=np.full(m, 1.0 / m),
-        iter=0,
-        objective_trace=[],
-    )
+    state = OptState(states=states, alpha=np.full(m, 1.0 / m), objective_trace=[])
     state.objective_trace.append(objective(state, cfg))
 
     warned_clamp = False
     for sweep in range(1, cfg.max_iters + 1):
-        state.iter = sweep
         for v in range(m):
             state.states[v] = replace(state.states[v], U=update_view(state, v, cfg))
         if learn_weights:
@@ -239,7 +235,7 @@ def fit(
 
     embeddings = tuple(vs.U.T @ vs.K for vs in state.states)
     return KmsaModel(
-        states=tuple(state.states),
+        coefficients=tuple(vs.U for vs in state.states),
         alpha=state.alpha,
         objective_trace=tuple(state.objective_trace),
         embeddings=embeddings,
@@ -254,7 +250,7 @@ def transform(model: KmsaModel, new_views, data: MultiviewDataset):
     the new points against the training samples, under the model's resolved
     kernel spec and centering convention. Training columns reproduce the
     stored embeddings."""
-    m = len(model.states)
+    m = len(model.coefficients)
     if len(new_views) != m:
         raise DimensionError(f"expected {m} views, got {len(new_views)}")
     if data.n_views != m:
@@ -268,13 +264,14 @@ def transform(model: KmsaModel, new_views, data: MultiviewDataset):
                 f"view {v}: new points have {X_new.shape[0] if X_new.ndim == 2 else 'bad'}"
                 f" features, training data has {X_train.shape[0]}"
             )
-        if X_train.shape[1] != model.states[v].K.shape[0]:
+        U = model.coefficients[v]
+        if X_train.shape[1] != U.shape[0]:
             raise DimensionError(
                 f"view {v}: training dataset has {X_train.shape[1]} samples, "
-                f"model was fitted on {model.states[v].K.shape[0]}"
+                f"model was fitted on {U.shape[0]}"
             )
         cols = cross_kernel(
             X_train, X_new, model.kernels[v], center=model.config.center_kernel
         )
-        out.append(model.states[v].U.T @ cols)
+        out.append(U.T @ cols)
     return out

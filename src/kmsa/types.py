@@ -224,28 +224,19 @@ class KmsaConfig:
 
 
 @dataclass(frozen=True)
-class ViewState:
-    """Per-view fitted matrices: kernel K, graph quadratic P, ridged
-    constraint M, and coefficient matrix U (N x d, M-orthonormal columns)."""
-
-    K: np.ndarray
-    P: np.ndarray
-    M: np.ndarray
-    U: np.ndarray
-
-
-@dataclass(frozen=True)
 class KmsaModel:
     """Everything a fit produces.
 
-    alpha lies strictly inside the simplex; objective_trace holds the recorded
-    objective after initialization and after each sweep; embeddings are the
-    d x N per-view representations U^T K; kernels are the per-view specs with
-    bandwidths resolved to concrete values; log records clamp and
-    non-monotonicity events.
+    coefficients are the per-view N x d matrices U_v; alpha lies strictly
+    inside the simplex; objective_trace holds the recorded objective after
+    initialization and after each sweep; embeddings are the d x N per-view
+    representations U^T K; kernels are the per-view specs with bandwidths
+    resolved to concrete values; log records clamp and non-monotonicity
+    events. Kernel, graph and constraint matrices are fit-time internals,
+    recomputable from the training data and config.
     """
 
-    states: tuple
+    coefficients: tuple
     alpha: np.ndarray
     objective_trace: tuple
     embeddings: tuple

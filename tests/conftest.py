@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from kmsa import GraphRecipe, KernelSpec, KmsaConfig, MultiviewDataset
+# BLAS reads these once, when NumPy is first imported. The suite solves many
+# small eigenproblems, where BLAS threads cost far more than they save.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from kmsa import GraphRecipe, KernelSpec, KmsaConfig, MultiviewDataset  # noqa: E402
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ Each oracle deliberately takes a different computational route than the
 package code it checks: the generalized eigensolver oracle reduces through a
 spectral inverse square root instead of a Cholesky factor, the kernel PCA
 oracle is a plain eigendecomposition of the centered Gram matrix, the lasso
-oracle is a refining grid search, and the simplex oracle is an exhaustive
-grid scan.
+oracle is a refining grid search, the simplex oracle is an exhaustive
+grid scan, and the trace and objective references form the dense N x N
+matrices K P K and J_v that the optimizer avoids.
 """
 
 import numpy as np
@@ -91,3 +92,45 @@ def simplex_oracle(traces, r, step=1e-3):
     vals = weight_objective(grid, traces, r)
     idx = int(np.argmin(vals))
     return grid[idx], float(vals[idx])
+
+
+def dense_trace_terms(Ks, Ps, Us, r, kappa, eta):
+    """Weight-update traces tr(U_v^T J_v U_v) through an explicit N x N
+    J_v = K P K + (r kappa / N) I + sum_{w != v} U_w U_w^T / (2 eta).
+
+    Also returns each trace's rounding scale sum(|U_v| * (|J_v| |U_v|)), the
+    magnitude a floating-point evaluation of the trace is accurate relative to.
+    """
+    n = Ks[0].shape[0]
+    traces, scales = [], []
+    for v in range(len(Ks)):
+        J = Ks[v] @ Ps[v] @ Ks[v] + (r * kappa / n) * np.eye(n)
+        for w in range(len(Ks)):
+            if w != v:
+                J = J + (Us[w] @ Us[w].T) / (2.0 * eta)
+        traces.append(np.trace(Us[v].T @ J @ Us[v]))
+        scales.append(np.sum(np.abs(Us[v]) * (np.abs(J) @ np.abs(Us[v]))))
+    return np.array(traces), np.array(scales)
+
+
+def dense_objective_terms(Ks, Ps, Us, alpha, r, kappa, eta):
+    """Objective terms with explicit K P K products and cross-Gram traces
+    tr(U_v^T U_w U_w^T U_v). Also returns the embedding term's rounding scale
+    (see dense_trace_terms); the other two terms carry no cancellation."""
+    a_r = np.asarray(alpha) ** r
+    embed, scale = 0.0, 0.0
+    for v in range(len(Ks)):
+        KPK = Ks[v] @ Ps[v] @ Ks[v]
+        embed += a_r[v] * np.trace(Us[v].T @ KPK @ Us[v])
+        scale += a_r[v] * np.sum(np.abs(Us[v]) * (np.abs(KPK) @ np.abs(Us[v])))
+    align = 0.0
+    for v in range(len(Ks)):
+        for w in range(v + 1, len(Ks)):
+            gram = Us[v].T @ Us[w] @ Us[w].T @ Us[v]
+            align += (a_r[v] + a_r[w]) / (2.0 * eta) * np.trace(gram)
+    terms = {
+        "embedding": embed,
+        "weight_regularizer": kappa * np.sum(a_r),
+        "alignment": align,
+    }
+    return terms, scale

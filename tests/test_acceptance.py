@@ -144,11 +144,13 @@ def test_05_kernel_pca_reduction():
         )
         model = fit(data, cfg)
         assert np.allclose(model.alpha, [1.0])
-        U, M = model.states[0].U, model.states[0].M
-        projector = U @ U.T @ M
+        from kmsa.graphs import build_graph, constraint_matrix
         from kmsa.kernels import build_kernel
 
         K_centered = build_kernel(X, KernelSpec(kind="linear"), center=True)
+        M = constraint_matrix(K_centered, build_graph(X, None, cfg.graph), cfg.ridge)
+        U = model.coefficients[0]
+        projector = U @ U.T @ M
         _, Q = kpca_oracle(K_centered, 3)
         assert np.linalg.norm(projector - Q @ Q.T, "fro") < 1e-6
 

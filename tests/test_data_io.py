@@ -168,25 +168,37 @@ class TestModelPersistence:
         assert model.objective_trace == again.objective_trace
 
     def test_matrices_round_trip(self, tmp_path):
-        _, model = self.fitted()
-        save_model(model, tmp_path / "m")
+        data, model = self.fitted()
+        save_model(model, tmp_path / "m", train_data=data)
         again = load_model(tmp_path / "m")
-        for a, b in zip(model.states, again.states):
-            assert np.array_equal(a.U, b.U)  # 17 digits round-trips doubles
-            assert np.array_equal(a.K, b.K)
+        assert len(again.coefficients) == len(model.coefficients) == 2
+        for a, b in zip(model.coefficients, again.coefficients):
+            assert np.array_equal(a, b)  # 17 digits round-trips doubles
         for a, b in zip(model.embeddings, again.embeddings):
             assert np.array_equal(a, b)
         assert again.config == model.config
         assert again.kernels == model.kernels
+        # only what transform needs: no kernel, graph or constraint matrices
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == [
+            "coefficients_1.csv",
+            "coefficients_2.csv",
+            "embedding_1.csv",
+            "embedding_2.csv",
+            "manifest.json",
+            "train",
+        ]
 
     def test_version_bump_rejected(self, tmp_path):
         _, model = self.fitted()
         save_model(model, tmp_path / "m")
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        manifest["format_version"] = 99
-        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(VersionError):
-            load_model(tmp_path / "m")
+        assert manifest["format_version"] == 2
+        # version 1 directories stored K/P/M and are no longer read
+        for version in (1, 99):
+            manifest["format_version"] = version
+            (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(VersionError):
+                load_model(tmp_path / "m")
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "m").mkdir()

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmsa import (
     DimensionError,
@@ -11,39 +15,63 @@ from kmsa import (
     fit,
     transform,
 )
-from kmsa.graphs import constraint_matrix, laplacian, pca_graph
+from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
     OptState,
+    ViewState,
     build_h,
     closed_form_weights,
     gram_divergence,
     objective,
     objective_terms,
     update_view,
-    update_weights,
     view_trace_terms,
 )
-from kmsa.types import ViewState
 
 from conftest import random_dataset
-from oracles import kpca_oracle, simplex_oracle, weight_objective
+from oracles import (
+    dense_objective_terms,
+    dense_trace_terms,
+    kpca_oracle,
+    simplex_oracle,
+    weight_objective,
+)
 
 
-def make_state(rng, m=2, n=6, d=2, recipe="pca"):
-    """Hand-assembled optimizer state over random Gaussian-kernel views."""
+def sym(A):
+    return 0.5 * (A + A.T)
+
+
+def pca_p(n):
+    return laplacian(pca_graph(n).S)
+
+
+def view_state(K, P, M, U):
+    return ViewState(K=K, KPK=sym(K @ P @ K), M=M, U=U)
+
+
+def make_state(rng, m=2, n=6, d=2):
+    """Hand-assembled optimizer state over random Gaussian-kernel views with
+    the pca graph quadratic P = pca_p(n)."""
     states = []
     for v in range(m):
         X = rng.standard_normal((3, n))
         K = build_kernel(X, KernelSpec())
-        pair = pca_graph(n)
-        P = laplacian(pair.S)
-        M = constraint_matrix(K, pair, ridge=1e-6)
+        M = constraint_matrix(K, pca_graph(n), ridge=1e-6)
         U = rng.standard_normal((n, d))
-        states.append(ViewState(K=K, P=P, M=M, U=U))
-    return OptState(
-        states=states, alpha=np.full(m, 1.0 / m), iter=0, objective_trace=[]
-    )
+        states.append(view_state(K, pca_p(n), M, U))
+    return OptState(states=states, alpha=np.full(m, 1.0 / m), objective_trace=[])
+
+
+def fitted_constraint(data, model, v):
+    """View v's ridged constraint M, recomputed from the data and the model's
+    resolved kernel spec exactly as fit builds it."""
+    cfg = model.config
+    X = data.views[v]
+    K = build_kernel(X, model.kernels[v], center=cfg.center_kernel)
+    recipe = cfg.graphs_for(data.n_views)[v]
+    return constraint_matrix(K, build_graph(X, data.labels, recipe), cfg.ridge)
 
 
 class TestObjective:
@@ -52,19 +80,15 @@ class TestObjective:
         state.alpha = np.array([1.0])
         cfg = KmsaConfig(d=2)
         vs = state.states[0]
-        expected = np.trace(vs.U.T @ vs.K @ vs.P @ vs.K @ vs.U) + cfg.kappa
+        expected = np.trace(vs.U.T @ vs.K @ pca_p(6) @ vs.K @ vs.U) + cfg.kappa
         assert objective(state, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_coefficients_leave_only_regularizer(self, rng):
         m = 3
         state = make_state(rng, m=m)
         for v in range(m):
-            state.states[v] = ViewState(
-                K=state.states[v].K,
-                P=state.states[v].P,
-                M=state.states[v].M,
-                U=np.zeros_like(state.states[v].U),
-            )
+            vs = state.states[v]
+            state.states[v] = ViewState(K=vs.K, KPK=vs.KPK, M=vs.M, U=np.zeros_like(vs.U))
         cfg = KmsaConfig(d=2)
         assert objective(state, cfg) == pytest.approx(
             cfg.kappa * m * (1.0 / m) ** cfg.r, rel=1e-12
@@ -82,20 +106,19 @@ class TestObjective:
         r, kappa, eta = 3.0, 0.1, -1.0
         state = OptState(
             states=[
-                ViewState(K=K1, P=P1, M=np.eye(3), U=u1),
-                ViewState(K=K2, P=P2, M=np.eye(3), U=u2),
+                ViewState(K=K1, KPK=K1 @ P1 @ K1, M=np.eye(3), U=u1),
+                ViewState(K=K2, KPK=K2 @ P2 @ K2, M=np.eye(3), U=u2),
             ],
             alpha=alpha,
-            iter=0,
             objective_trace=[],
         )
         embed = (
-            alpha[0] ** r * float(u1.T @ K1 @ P1 @ K1 @ u1)
-            + alpha[1] ** r * float(u2.T @ K2 @ P2 @ K2 @ u2)
+            alpha[0] ** r * (u1.T @ K1 @ P1 @ K1 @ u1).item()
+            + alpha[1] ** r * (u2.T @ K2 @ P2 @ K2 @ u2).item()
         )
         reg = kappa * (alpha[0] ** r + alpha[1] ** r)
         # one unordered pair; d=1 makes the alignment trace a squared dot
-        align = (alpha[0] ** r + alpha[1] ** r) / (2 * eta) * float(u2.T @ u1) ** 2
+        align = (alpha[0] ** r + alpha[1] ** r) / (2 * eta) * (u2.T @ u1).item() ** 2
         cfg = KmsaConfig(d=1, r=r, kappa=kappa, eta=eta)
         assert objective(state, cfg) == pytest.approx(embed + reg + align, rel=1e-12)
 
@@ -108,22 +131,75 @@ class TestObjective:
         assert objective(state, cfg) == pytest.approx(total, abs=1e-10)
 
 
+@st.composite
+def trace_problems(draw):
+    """A random m-view state (m in 1..4) with signed graph quadratics, plus a
+    config and simplex weights; returns (state, cfg, Ks, Ps, Us)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = KmsaConfig(
+        d=d,
+        r=draw(st.floats(1.1, 5.0)),
+        kappa=draw(st.floats(0.0, 2.0)),
+        eta=draw(st.floats(-5.0, -0.1)),
+    )
+    Ks, Ps, Us = [], [], []
+    for _ in range(m):
+        Ks.append(build_kernel(rng.standard_normal((3, n)), KernelSpec()))
+        Ps.append(laplacian(sym(rng.standard_normal((n, n)))))
+        Us.append(rng.standard_normal((n, d)))
+    states = [view_state(K, P, np.eye(n), U) for K, P, U in zip(Ks, Ps, Us)]
+    alpha = rng.dirichlet(np.ones(m))
+    state = OptState(states=states, alpha=alpha, objective_trace=[])
+    return state, cfg, Ks, Ps, Us
+
+
+class TestDenseReferences:
+    """The optimizer's trace and objective terms against references that form
+    the dense K P K and J_v matrices; relative errors are taken against each
+    value's rounding scale (see oracles.dense_trace_terms)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace_problems())
+    def test_view_trace_terms_match_dense_j(self, problem):
+        state, cfg, Ks, Ps, Us = problem
+        want, scale = dense_trace_terms(Ks, Ps, Us, cfg.r, cfg.kappa, cfg.eta)
+        got = view_trace_terms(state, cfg)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace_problems())
+    def test_objective_terms_match_explicit_kpk(self, problem):
+        state, cfg, Ks, Ps, Us = problem
+        want, scale = dense_objective_terms(
+            Ks, Ps, Us, state.alpha, cfg.r, cfg.kappa, cfg.eta
+        )
+        got = objective_terms(state, cfg)
+        assert abs(got["embedding"] - want["embedding"]) <= 1e-12 * max(
+            abs(want["embedding"]), scale
+        )
+        for key in ("weight_regularizer", "alignment"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-300)
+
+
 class TestBuildH:
     def test_single_view_is_bare_quadratic(self, rng):
         state = make_state(rng, m=1)
         state.alpha = np.array([1.0])
         cfg = KmsaConfig(d=2)
         vs = state.states[0]
-        expected = vs.K @ vs.P @ vs.K
-        assert np.allclose(build_h(state, 0, cfg), 0.5 * (expected + expected.T))
+        expected = vs.K @ pca_p(6) @ vs.K
+        assert np.allclose(build_h(state, 0, cfg), sym(expected))
 
     def test_uniform_weights_coefficient(self, rng):
         state = make_state(rng, m=2)
         cfg = KmsaConfig(d=2, eta=-1.0)
         vs0, vs1 = state.states
         H = build_h(state, 0, cfg)
-        base = vs0.K @ vs0.P @ vs0.K
-        coupling = H - 0.5 * (base + base.T)
+        coupling = H - sym(vs0.K @ pca_p(6) @ vs0.K)
         # (1 + 1) / (2 eta) = 1/eta = -1
         assert np.allclose(coupling, -vs1.U @ vs1.U.T, atol=1e-12)
 
@@ -133,8 +209,7 @@ class TestBuildH:
         cfg = KmsaConfig(d=2, r=3.0, eta=-1.0)
         vs0, vs1 = state.states
         H = build_h(state, 0, cfg)
-        base = vs0.K @ vs0.P @ vs0.K
-        coupling = H - 0.5 * (base + base.T)
+        coupling = H - sym(vs0.K @ pca_p(6) @ vs0.K)
         coeff = (1.0 + (0.2 / 0.8) ** 3) / (2.0 * -1.0)
         assert coeff == pytest.approx(-0.5078125)
         assert np.allclose(coupling, coeff * vs1.U @ vs1.U.T, atol=1e-12)
@@ -144,9 +219,8 @@ class TestUpdateView:
     def test_diagonal_quadratic_picks_smallest_entries(self):
         H = np.diag([5.0, -1.0, 2.0, 0.0])
         state = OptState(
-            states=[ViewState(K=np.eye(4), P=H, M=np.eye(4), U=np.zeros((4, 2)))],
+            states=[view_state(np.eye(4), H, np.eye(4), np.zeros((4, 2)))],
             alpha=np.array([1.0]),
-            iter=0,
             objective_trace=[],
         )
         cfg = KmsaConfig(d=2)
@@ -226,20 +300,18 @@ class TestWeights:
         assert np.allclose(alpha, 0.25)
         assert clamped.all()
 
-    def test_update_weights_emits_warning_on_clamp(self, rng):
-        state = make_state(rng, m=2, n=8, d=2)
-        cfg = KmsaConfig(d=2)
-        traces = view_trace_terms(state, cfg)
-        if (traces > 0).all():  # force a clamp by flipping the quadratic sign
-            state.states[0] = ViewState(
-                K=state.states[0].K,
-                P=-10.0 * state.states[0].P,
-                M=state.states[0].M,
-                U=state.states[0].U,
-            )
-        with pytest.warns(WeightDomainWarning):
-            alpha = update_weights(state, cfg)
-        assert alpha.sum() == pytest.approx(1.0)
+    def test_fit_warns_once_and_logs_each_clamp(self, rng):
+        # the default pca recipe has negative trace terms, so every sweep clamps
+        data = random_dataset(rng, m=3, n=15)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit(data, KmsaConfig(d=2, max_iters=5))
+        assert [w.category for w in caught].count(WeightDomainWarning) == 1
+        sweeps = len(model.objective_trace) - 1
+        assert sweeps >= 1
+        clamps = [line.split(":")[0] for line in model.log if "clamped" in line]
+        assert clamps == [f"sweep {k}" for k in range(1, sweeps + 1)]
+        assert np.allclose(model.alpha, 1.0 / 3.0)
 
 
 class TestFit:
@@ -254,7 +326,7 @@ class TestFit:
         )
         model = fit(data, cfg)
         assert np.allclose(model.alpha, [1.0])
-        U, M = model.states[0].U, model.states[0].M
+        U, M = model.coefficients[0], fitted_constraint(data, model, 0)
         projector = U @ U.T @ M
         K_centered = build_kernel(X, KernelSpec(kind="linear"), center=True)
         _, Q = kpca_oracle(K_centered, 3)
@@ -270,15 +342,16 @@ class TestFit:
     def test_embeddings_are_coefficient_kernel_products(self, rng):
         data = random_dataset(rng, m=2, n=10)
         model = fit(data, KmsaConfig(d=2, max_iters=3))
-        for vs, Y in zip(model.states, model.embeddings):
+        for X, spec, U, Y in zip(data.views, model.kernels, model.coefficients, model.embeddings):
             assert Y.shape == (2, 10)
-            assert np.array_equal(Y, vs.U.T @ vs.K)
+            assert np.array_equal(Y, U.T @ build_kernel(X, spec))
 
     def test_constraint_orthonormality_invariant(self, rng):
         data = random_dataset(rng, m=2, n=12)
         model = fit(data, KmsaConfig(d=3, max_iters=5))
-        for vs in model.states:
-            assert np.abs(vs.U.T @ vs.M @ vs.U - np.eye(3)).max() < 1e-6
+        for v, U in enumerate(model.coefficients):
+            M = fitted_constraint(data, model, v)
+            assert np.abs(U.T @ M @ U - np.eye(3)).max() < 1e-6
 
     def test_alpha_on_simplex(self, rng):
         data = random_dataset(rng, m=3, n=15)
@@ -306,8 +379,8 @@ class TestFit:
         b = fit(data, cfg)
         assert np.array_equal(a.alpha, b.alpha)
         assert a.objective_trace == b.objective_trace
-        for ua, ub in zip(a.states, b.states):
-            assert np.array_equal(ua.U, ub.U)
+        for ua, ub in zip(a.coefficients, b.coefficients):
+            assert np.array_equal(ua, ub)
 
 
 class TestTransform:
