@@ -52,11 +52,11 @@ def lpp_graph(X: np.ndarray, k: int, heat) -> GraphPair:
     if t <= 0:
         raise GraphError("heat parameter must be positive")
     sq = pairwise_sq_dists(X)
-    order = np.argsort(sq, axis=0, kind="stable")
+    away = sq.copy()
+    np.fill_diagonal(away, np.inf)  # self sorts last; ties keep their order
+    order = np.argsort(away, axis=0, kind="stable")
     adj = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        neighbors = [i for i in order[:, j] if i != j][:k]
-        adj[neighbors, j] = True
+    adj[order[:k], np.arange(n)] = True
     adj |= adj.T  # the OR rule keeps the graph symmetric
     S = np.where(adj, np.exp(-sq / t), 0.0)
     np.fill_diagonal(S, 0.0)
@@ -88,47 +88,48 @@ def lda_graph(labels) -> GraphPair:
     return GraphPair(S=S, B=B, uses_kbk=True)
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
+def sparse_codes(X: np.ndarray, lam: float, max_iters: int, tol: float = 1e-6):
+    """Code every column of X by the others: column i of M minimizes
+    0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i held at 0.
 
-
-def lasso_coordinate_descent(
-    A: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    max_iters: int,
-    tol: float = 1e-6,
-):
-    """Minimize 0.5 ||y - A c||^2 + lam ||c||_1 by cyclic coordinate descent.
-
-    Returns (c, converged); converged is False when max_iters full sweeps pass
-    without the largest coefficient change dropping to tol.
+    One cyclic coordinate descent runs on all N problems together: coordinate
+    j updates row j of M for every running column at once, through the
+    residuals R = X - X M. A column stops after the first sweep whose largest
+    coefficient change is <= tol. Returns (M, converged); converged[i] is
+    False when column i ran max_iters sweeps without meeting tol.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = A.shape[1]
-    col_sq = np.sum(A * A, axis=0)
-    c = np.zeros(p)
-    resid = y.copy()
+    X = np.asarray(X, dtype=float)
+    n = X.shape[1]
+    col_sq = np.sum(X * X, axis=0)
+    M = np.zeros((n, n))
+    converged = np.zeros(n, dtype=bool)
+    cols = np.arange(n)  # the running columns, their codes and residuals
+    C = np.zeros((n, n))
+    R = X.copy()
+    nonzero = np.flatnonzero(col_sq).tolist()  # a zero x_j keeps its row at 0
+    coords = [(j, X[:, j], X[:, j, None], col_sq[j]) for j in nonzero]
     for _ in range(max_iters):
-        max_delta = 0.0
-        for j in range(p):
-            if col_sq[j] == 0.0:
-                continue
-            old = c[j]
-            resid += A[:, j] * old
-            rho = float(A[:, j] @ resid)
-            new = soft_threshold(rho, lam) / col_sq[j]
-            resid -= A[:, j] * new
-            c[j] = new
-            max_delta = max(max_delta, abs(new - old))
-        if max_delta <= tol:
-            return c, True
-    return c, False
+        slot = dict(zip(cols.tolist(), range(cols.size)))
+        start = C.copy()
+        for j, x, x_col, sq in coords:
+            R += x_col * C[j]
+            rho = np.dot(x, R)
+            # soft threshold: rho - clip(rho, -lam, lam) is rho -/+ lam or 0
+            new = (rho - np.minimum(np.maximum(rho, -lam), lam)) / sq
+            if j in slot:
+                new[slot[j]] = 0.0  # x_j never codes itself
+            R -= x_col * new
+            C[j] = new
+        # every coordinate moves once per sweep, so this is each column's
+        # largest coefficient change
+        done = np.abs(C - start).max(axis=0, initial=0.0) <= tol
+        M[:, cols[done]] = C[:, done]
+        converged[cols[done]] = True
+        cols, C, R = cols[~done], C[:, ~done], R[:, ~done]
+        if not cols.size:
+            break
+    M[:, cols] = C
+    return M, converged
 
 
 def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
@@ -141,17 +142,11 @@ def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
         raise GraphError(f"need at least 2 samples, got {n}")
     if lam <= 0:
         raise GraphError("lasso weight must be positive")
-    M = np.zeros((n, n))
-    notes = []
-    others = np.arange(n)
-    for i in range(n):
-        keep = others != i
-        coeffs, converged = lasso_coordinate_descent(
-            X[:, keep], X[:, i], lam, max_iters
-        )
-        M[keep, i] = coeffs
-        if not converged:
-            notes.append(f"lasso column {i} hit max_iters={max_iters} before tol")
+    M, converged = sparse_codes(X, lam, max_iters)
+    notes = tuple(
+        f"lasso column {i} hit max_iters={max_iters} before tol"
+        for i in np.flatnonzero(~converged)
+    )
     if notes:
         warnings.warn(
             f"{len(notes)} sparse-coding column(s) hit the iteration cap",
@@ -160,7 +155,7 @@ def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
         )
     S = M + M.T + M.T @ M
     np.fill_diagonal(S, 0.0)
-    return GraphPair(S=S, B=np.eye(n), uses_kbk=False, notes=tuple(notes))
+    return GraphPair(S=S, B=np.eye(n), uses_kbk=False, notes=notes)
 
 
 def laplacian(S: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Each oracle deliberately takes a different computational route than the
 package code it checks: the generalized eigensolver oracle reduces through a
 spectral inverse square root instead of a Cholesky factor, the kernel PCA
 oracle is a plain eigendecomposition of the centered Gram matrix, the lasso
-oracle is a refining grid search, the simplex oracle is an exhaustive
+oracle is a refining grid search, the lasso reference solves one column at a
+time with scalar coordinate updates, the simplex oracle is an exhaustive
 grid scan, and the trace and objective references form the dense N x N
 matrices K P K and J_v that the optimizer avoids.
 """
@@ -34,6 +35,44 @@ def kpca_oracle(K_centered, d):
 def lasso_objective(A, y, c, lam):
     r = y - A @ c
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(c)))
+
+
+def soft_threshold(z: float, gamma: float) -> float:
+    if z > gamma:
+        return z - gamma
+    if z < -gamma:
+        return z + gamma
+    return 0.0
+
+
+def lasso_cd_reference(A, y, lam, max_iters, tol=1e-6):
+    """Minimize 0.5 ||y - A c||^2 + lam ||c||_1 by cyclic coordinate descent.
+
+    Returns (c, converged); converged is False when max_iters full sweeps pass
+    without the largest coefficient change dropping to tol. One problem at a
+    time with scalar updates: the loop that graphs.sparse_codes batches.
+    """
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = A.shape[1]
+    col_sq = np.sum(A * A, axis=0)
+    c = np.zeros(p)
+    resid = y.copy()
+    for _ in range(max_iters):
+        max_delta = 0.0
+        for j in range(p):
+            if col_sq[j] == 0.0:
+                continue
+            old = c[j]
+            resid += A[:, j] * old
+            rho = float(A[:, j] @ resid)
+            new = soft_threshold(rho, lam) / col_sq[j]
+            resid -= A[:, j] * new
+            c[j] = new
+            max_delta = max(max_delta, abs(new - old))
+        if max_delta <= tol:
+            return c, True
+    return c, False
 
 
 def lasso_grid_oracle(A, y, lam, radius=2.0, levels=4, points=13):

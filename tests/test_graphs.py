@@ -1,19 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmsa import GraphError, KernelSpec, NumericError, build_kernel
 from kmsa.graphs import (
     GraphPair,
     constraint_matrix,
     laplacian,
-    lasso_coordinate_descent,
     lda_graph,
     lpp_graph,
     pca_graph,
+    sparse_codes,
     spp_graph,
 )
+from kmsa.kernels import pairwise_sq_dists
 
-from oracles import lasso_grid_oracle, lasso_objective
+from oracles import lasso_cd_reference, lasso_grid_oracle, lasso_objective
+
+
+def lasso(A, y, lam, max_iters):
+    """min 0.5 ||y - A c||^2 + lam ||c||_1 as the last column of the codes of
+    [A | y]: that column is coded by A alone."""
+    M, converged = sparse_codes(np.column_stack([A, y]), lam, max_iters)
+    return M[:-1, -1], converged[-1]
+
+
+@st.composite
+def coding_problems(draw):
+    """Random D x N data (D in 2..6, N in 2..12), sometimes with a repeated
+    or an all-zero column, plus a lasso weight and a sweep cap."""
+    dim = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((dim, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, n - 1))] = X[:, draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, n - 1))] = 0.0
+    lam = 10 ** draw(st.floats(-5.0, 0.0)) * float(np.abs(X.T @ X).max(initial=1.0))
+    return X, lam, draw(st.integers(1, 200))
 
 
 class TestPcaGraph:
@@ -82,6 +108,29 @@ class TestLppGraph:
         with pytest.raises(GraphError):
             lpp_graph(X, k=5, heat=1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),  # past 16, where NumPy's sorts stop being stable anyway
+        k_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_column_neighbor_loop_under_ties(self, n, k_frac, seed):
+        # coordinates from {0, 1, 2} and repeated columns tie many distances;
+        # the adjacency must match dropping self from each stable order
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(2, n)).astype(float)
+        X[:, rng.integers(0, n, size=n // 2)] = X[:, rng.integers(0, n, size=n // 2)]
+        k = 1 + int(k_frac * (n - 2))
+        sq = pairwise_sq_dists(X)
+        order = np.argsort(sq, axis=0, kind="stable")
+        adj = np.zeros((n, n), dtype=bool)
+        for j in range(n):
+            adj[[i for i in order[:, j] if i != j][:k], j] = True
+        adj |= adj.T
+        S = np.where(adj, np.exp(-sq), 0.0)
+        np.fill_diagonal(S, 0.0)
+        assert np.array_equal(lpp_graph(X, k=k, heat=1.0).S, S)
+
 
 class TestLdaGraph:
     def test_single_class(self):
@@ -119,7 +168,7 @@ class TestLasso:
         A = rng.standard_normal((3, 4))
         y = rng.standard_normal(3)
         lam = float(np.abs(A.T @ y).max()) + 1.0
-        c, converged = lasso_coordinate_descent(A, y, lam, max_iters=100)
+        c, converged = lasso(A, y, lam, max_iters=100)
         assert converged
         assert np.allclose(c, 0.0)
 
@@ -130,10 +179,48 @@ class TestLasso:
             A = rng.standard_normal((dim, n - 1))
             y = rng.standard_normal(dim)
             lam = 0.2
-            c, _ = lasso_coordinate_descent(A, y, lam, max_iters=2000)
+            c, _ = lasso(A, y, lam, max_iters=2000)
             c_ref = lasso_grid_oracle(A, y, lam, radius=2.0, levels=6)
             assert np.abs(c - c_ref).max() < 1e-3
             assert lasso_objective(A, y, c, lam) <= lasso_objective(A, y, c_ref, lam) + 1e-9
+
+
+class TestSparseCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(coding_problems())
+    def test_matches_per_column_reference(self, problem):
+        X, lam, max_iters = problem
+        n = X.shape[1]
+        M, converged = sparse_codes(X, lam, max_iters)
+        assert np.all(np.diag(M) == 0.0)
+        norms = np.linalg.norm(X, axis=0)
+        for i in range(n):
+            keep = np.arange(n) != i
+            c, ok = lasso_cd_reference(X[:, keep], X[:, i], lam, max_iters)
+            assert converged[i] == ok
+            # a code's size is its largest entry, or ||x_i|| / max ||x_j||
+            # when the penalty zeroes it
+            scale = max(np.abs(c).max(initial=0.0), norms[i] / norms.max())
+            assert np.abs(M[keep, i] - c).max() <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(coding_problems())
+    def test_converged_columns_satisfy_kkt(self, problem):
+        # after a column's last sweep, every x_j^T r_i sat exactly at its
+        # optimality value when coordinate j moved; the later moves of that
+        # sweep (each <= tol) shift it by at most tol * sum_k |x_j^T x_k|
+        X, lam, _ = problem
+        tol = 1e-6
+        M, converged = sparse_codes(X, lam, 500, tol=tol)
+        G, absX = X.T @ X, np.abs(X)
+        for i in np.flatnonzero(converged):
+            grad = X.T @ (X[:, i] - X @ M[:, i])
+            others = np.arange(X.shape[1]) != i
+            rounding = 1e-12 * (absX.T @ (absX[:, i] + absX @ np.abs(M[:, i])))
+            eps = tol * np.abs(G[:, others]).sum(axis=1) + rounding
+            assert np.all(np.abs(grad[others]) <= lam + eps[others])
+            active = M[:, i] != 0.0
+            assert np.all(np.abs(grad - lam * np.sign(M[:, i]))[active] <= eps[active])
 
 
 class TestSppGraph:
@@ -144,12 +231,15 @@ class TestSppGraph:
             [[1.0, 10.0, -9.0, 1.0], [1.0, -10.0, 9.0, 1.0]]
         )
         pair = spp_graph(X, lam=0.05, max_iters=2000)
-        # reconstruct M from the reported S is awkward; test via the lasso
-        A = X[:, [0, 1, 2]]
-        c, _ = lasso_coordinate_descent(A, X[:, 3], 0.05, max_iters=2000)
+        M, converged = sparse_codes(X, 0.05, 2000)
+        S = M + M.T + M.T @ M
+        np.fill_diagonal(S, 0.0)
+        assert np.array_equal(pair.S, S)  # the codes spp_graph builds on
+        c = M[:3, 3]
+        assert converged[3]
         assert c[0] == pytest.approx(1.0, abs=0.05)
         assert np.abs(c[1:]).max() < 0.05
-        c_ref = lasso_grid_oracle(A, X[:, 3], 0.05, radius=2.0, levels=6)
+        c_ref = lasso_grid_oracle(X[:, :3], X[:, 3], 0.05, radius=2.0, levels=6)
         assert np.abs(c - c_ref).max() < 1e-3
 
     def test_huge_lambda_gives_zero_graph(self, rng):
@@ -171,6 +261,11 @@ class TestSppGraph:
         with pytest.warns(ConvergenceWarning):
             pair = spp_graph(X, lam=1e-6, max_iters=1)
         assert pair.notes  # at least one column cannot finish in one sweep
+        _, converged = sparse_codes(X, 1e-6, 1)
+        assert pair.notes == tuple(
+            f"lasso column {i} hit max_iters=1 before tol"
+            for i in np.flatnonzero(~converged)
+        )
 
 
 class TestLaplacianAndConstraint:

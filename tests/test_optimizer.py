@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmsa import (
+    ConvergenceWarning,
     DimensionError,
     GraphRecipe,
     KernelSpec,
@@ -13,11 +14,13 @@ from kmsa import (
     MultiviewDataset,
     WeightDomainWarning,
     fit,
+    generate_synthetic,
     transform,
 )
 from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
+    MONOTONE_SLACK,
     OptState,
     ViewState,
     build_h,
@@ -371,6 +374,22 @@ class TestFit:
             trace = model.objective_trace
             for prev, curr in zip(trace[:-1], trace[1:]):
                 assert curr <= prev + 1e-8 * (1.0 + abs(prev))
+
+    def test_spp_fit_end_to_end(self):
+        data = generate_synthetic(
+            classes=3, per_class=7, informative_views=3, noise_views=1, seed=0
+        )
+        cfg = KmsaConfig(d=4, graph=GraphRecipe(kind="spp"), max_iters=30)
+        with pytest.warns(ConvergenceWarning):
+            model = fit(data, cfg)
+        trace = model.objective_trace
+        for prev, curr in zip(trace[:-1], trace[1:]):
+            assert curr <= prev + MONOTONE_SLACK * (1.0 + abs(prev))
+        assert model.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (model.alpha >= 0).all()
+        for Y, Z in zip(model.embeddings, transform(model, data.views, data)):
+            assert np.abs(Y - Z).max() <= 1e-10
+        assert any(line.startswith("lasso column") for line in model.log)
 
     def test_determinism(self, rng):
         data = random_dataset(rng, m=2, n=10)
