@@ -12,9 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import ConvergenceWarning, GraphError, NumericError
+from .eigsolver import cholesky_factor
+from .errors import ConvergenceWarning, GraphError
 from .kernels import median_heuristic_bandwidth, pairwise_sq_dists
 from .types import MEDIAN, GraphRecipe
 
@@ -164,12 +164,14 @@ def laplacian(S: np.ndarray) -> np.ndarray:
     return np.diag(S.sum(axis=1)) - S
 
 
-def constraint_matrix(K: np.ndarray, pair: GraphPair, ridge: float) -> np.ndarray:
-    """Ridged constraint: (K B K or K) + ridge * (trace/N) * I, symmetrized.
+def constraint_matrix(K: np.ndarray, pair: GraphPair, ridge: float):
+    """Ridged constraint M = (K B K or K) + ridge * (trace/N) * I, symmetrized,
+    and its lower Cholesky factor L (M = L L^T); returns (M, L).
 
     The trace-scaled ridge keeps the generalized eigenproblem definite without
-    distorting well-conditioned cases. Raises NumericError if the result still
-    fails a Cholesky factorization (degenerate kernel; raise the ridge).
+    distorting well-conditioned cases. The factorization doubles as the
+    definiteness check: raises NumericError if it fails (degenerate kernel;
+    raise the ridge).
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -177,14 +179,7 @@ def constraint_matrix(K: np.ndarray, pair: GraphPair, ridge: float) -> np.ndarra
     M = 0.5 * (M + M.T)
     M_ridge = M + ridge * (np.trace(M) / n) * np.eye(n)
     M_ridge = 0.5 * (M_ridge + M_ridge.T)
-    try:
-        sla.cholesky(M_ridge, lower=True)
-    except sla.LinAlgError as exc:
-        raise NumericError(
-            "constraint matrix is not positive definite even after the ridge; "
-            "raise the ridge or center/rescale the data"
-        ) from exc
-    return M_ridge
+    return M_ridge, cholesky_factor(M_ridge)
 
 
 def build_graph(X: np.ndarray, labels, recipe: GraphRecipe) -> GraphPair:

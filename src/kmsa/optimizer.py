@@ -23,8 +23,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 
-from .eigsolver import generalized_eigh
+from .eigsolver import solve_whitened, whiten
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
 from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
@@ -36,14 +37,21 @@ TRACE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ViewState:
-    """Per-view fit-time matrices: kernel K, the symmetrized graph quadratic
-    KPK = K P K (a constant of the fit), ridged constraint M, and coefficient
-    matrix U (N x d, M-orthonormal columns)."""
+    """Per-view fit-time matrices: kernel K, lower Cholesky factor L of the
+    ridged constraint M = L L^T, whitened graph quadratic A = L^{-1} K P K L^{-T}
+    and kpk_sq = ||K P K||_F^2 (constants of the fit; K P K = L A L^T and M are
+    not kept), and coefficient matrix U (N x d, M-orthonormal columns)."""
 
     K: np.ndarray
-    KPK: np.ndarray
-    M: np.ndarray
+    L: np.ndarray
+    A: np.ndarray
+    kpk_sq: float
     U: np.ndarray
+
+
+def view_state(K, KPK, L, U) -> ViewState:
+    """Whiten a view's symmetric graph quadratic KPK by its constraint factor L."""
+    return ViewState(K=K, L=L, A=whiten(L, KPK), kpk_sq=float(np.sum(KPK * KPK)), U=U)
 
 
 @dataclass
@@ -57,10 +65,13 @@ class OptState:
 
 
 def _trace_parts(states) -> tuple:
-    """Per-view tr(U_v^T KPK_v U_v) and the symmetric matrix of pairwise
-    ||U_w^T U_v||_F^2 (zero diagonal)."""
+    """Per-view tr(U_v^T K P K_v U_v) = tr(Y^T A_v Y) with Y = L_v^T U_v, and
+    the symmetric matrix of pairwise ||U_w^T U_v||_F^2 (zero diagonal)."""
     m = len(states)
-    embed = np.array([float(np.sum(vs.U * (vs.KPK @ vs.U))) for vs in states])
+    embed = np.zeros(m)
+    for v, vs in enumerate(states):
+        Y = vs.L.T @ vs.U
+        embed[v] = np.sum(Y * (vs.A @ Y))
     cross = np.zeros((m, m))
     for v in range(m):
         for w in range(v + 1, m):
@@ -104,25 +115,34 @@ def gram_divergence(U_i: np.ndarray, U_j: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def build_h(state: OptState, v: int, cfg: KmsaConfig) -> np.ndarray:
-    """Quadratic form for view v's update: K P K plus the weighted sum of the
-    other views' coefficient outer products, symmetrized."""
-    alpha = state.alpha
+def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
+    """Coefficients c_w = (1 + (alpha_w / alpha_v)^r) / (2 eta) of
+    H_v = K P K_v + sum_w c_w U_w U_w^T, with c_v = 0."""
     if alpha[v] <= 0.0:
         raise NumericError(f"view weight alpha[{v}] underflowed to {alpha[v]}")
-    H = state.states[v].KPK
-    for w, vs in enumerate(state.states):
-        if w == v:
-            continue
-        coeff = (1.0 + (alpha[w] / alpha[v]) ** cfg.r) / (2.0 * cfg.eta)
-        H = H + coeff * (vs.U @ vs.U.T)
-    return 0.5 * (H + H.T)
+    c = (1.0 + (alpha / alpha[v]) ** cfg.r) / (2.0 * cfg.eta)
+    c[v] = 0.0
+    return c
 
 
 def update_view(state: OptState, v: int, cfg: KmsaConfig) -> np.ndarray:
     """New coefficient matrix for view v: the d smallest generalized
-    eigenvectors of (H_v, M_v)."""
-    _, U = generalized_eigh(build_h(state, v, cfg), state.states[v].M, cfg.d)
+    eigenvectors of (H_v, M_v), from the view's cached factor and whitened
+    quadratic with O(N^2 d) work besides the subset eigensolve. The residual
+    check applies H_v in factored form, with ||H_v||_F^2 expanded from kpk_sq
+    and d x d cross-Grams."""
+    vs = state.states[v]
+    L, A = vs.L, vs.A
+    W = np.hstack([s.U for s in state.states])
+    c = np.repeat(_coupling(state.alpha, v, cfg), cfg.d)
+    Z = sla.solve_triangular(L, W, lower=True)
+    Y, G = L.T @ W, W.T @ W
+    h_sq = vs.kpk_sq + 2.0 * c @ np.sum(Y * (A @ Y), axis=0) + c @ (G * G) @ c
+
+    def apply_h(V):
+        return L @ (A @ (L.T @ V)) + W @ (c[:, None] * (W.T @ V))
+
+    _, U = solve_whitened(A + (Z * c) @ Z.T, L, cfg.d, apply_h, np.sqrt(max(h_sq, 0.0)))
     return U
 
 
@@ -157,7 +177,7 @@ def closed_form_weights(traces: np.ndarray, r: float):
 
 
 def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
-    """Kernels, graph quadratics, and ridged constraints for every view."""
+    """Kernels, constraint factors and whitened graph quadratics for every view."""
     m = data.n_views
     specs = [
         resolve_kernel_spec(X, spec)
@@ -170,9 +190,8 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
         pair = build_graph(X, data.labels, recipe)
         notes.extend(pair.notes)
         KPK = K @ laplacian(pair.S) @ K
-        KPK = 0.5 * (KPK + KPK.T)
-        M = constraint_matrix(K, pair, cfg.ridge)
-        states.append(ViewState(K=K, KPK=KPK, M=M, U=np.zeros((K.shape[0], cfg.d))))
+        _, L = constraint_matrix(K, pair, cfg.ridge)
+        states.append(view_state(K, 0.5 * (KPK + KPK.T), L, np.zeros((K.shape[0], cfg.d))))
     return states, tuple(specs), notes
 
 
@@ -192,11 +211,9 @@ def fit(
     states, specs, log = _prepare_views(data, cfg)
     m = data.n_views
 
-    for v, vs in enumerate(states):
-        _, U = generalized_eigh(vs.KPK, vs.M, cfg.d)
-        states[v] = replace(vs, U=U)
-
     state = OptState(states=states, alpha=np.full(m, 1.0 / m), objective_trace=[])
+    # every U_v is still 0, so these first updates carry no coupling term
+    state.states = [replace(vs, U=update_view(state, v, cfg)) for v, vs in enumerate(states)]
     state.objective_trace.append(objective(state, cfg))
 
     warned_clamp = False

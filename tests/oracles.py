@@ -6,8 +6,8 @@ spectral inverse square root instead of a Cholesky factor, the kernel PCA
 oracle is a plain eigendecomposition of the centered Gram matrix, the lasso
 oracle is a refining grid search, the lasso reference solves one column at a
 time with scalar coordinate updates, the simplex oracle is an exhaustive
-grid scan, and the trace and objective references form the dense N x N
-matrices K P K and J_v that the optimizer avoids.
+grid scan, and the quadratic, trace and objective references form the dense
+N x N matrices H_v, K P K and J_v that the optimizer avoids.
 """
 
 import numpy as np
@@ -131,6 +131,17 @@ def simplex_oracle(traces, r, step=1e-3):
     vals = weight_objective(grid, traces, r)
     idx = int(np.argmin(vals))
     return grid[idx], float(vals[idx])
+
+
+def build_h(kpk, Us, alpha, v, r, eta):
+    """View v's dense update quadratic H_v = K P K_v + sum_{w != v}
+    ((1 + (alpha_w / alpha_v)^r) / (2 eta)) U_w U_w^T, symmetrized; kpk is
+    view v's K P K and Us holds every view's coefficients."""
+    H = kpk
+    for w, U in enumerate(Us):
+        if w != v:
+            H = H + (1.0 + (alpha[w] / alpha[v]) ** r) / (2.0 * eta) * (U @ U.T)
+    return 0.5 * (H + H.T)
 
 
 def dense_trace_terms(Ks, Ps, Us, r, kappa, eta):

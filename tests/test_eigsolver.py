@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kmsa import NumericError
-from kmsa.eigsolver import generalized_eigh
+from kmsa.eigsolver import fix_signs, generalized_eigh
 
 from oracles import gen_eig_oracle
 
@@ -80,6 +80,12 @@ def test_sign_convention(rng):
         for i in range(3):
             j = np.argmax(np.abs(V[:, i]))
             assert V[j, i] > 0
+
+
+def test_sign_ties_go_to_lowest_index():
+    V = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.5, 0.5, 0.0]])
+    want = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [-0.5, 0.5, 0.0]])
+    assert np.array_equal(fix_signs(V), want)
 
 
 def test_indefinite_constraint_rejected():

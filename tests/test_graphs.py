@@ -68,7 +68,7 @@ class TestPcaGraph:
     def test_constraint_is_kernel_itself(self, rng):
         X = rng.standard_normal((3, 6))
         K = build_kernel(X, KernelSpec())
-        M = constraint_matrix(K, pca_graph(6), ridge=0.0)
+        M, _ = constraint_matrix(K, pca_graph(6), ridge=0.0)
         assert np.allclose(M, K)
 
 
@@ -298,20 +298,20 @@ class TestLaplacianAndConstraint:
         X = rng.standard_normal((3, 5))
         K = build_kernel(X, KernelSpec())
         pair = GraphPair(S=np.zeros((5, 5)), B=np.eye(5), uses_kbk=True)
-        M = constraint_matrix(K, pair, ridge=0.0)
+        M, _ = constraint_matrix(K, pair, ridge=0.0)
         assert np.allclose(M, K @ K, atol=1e-12)
 
     def test_zero_ridge_keeps_pd_kernel(self, rng):
         X = rng.standard_normal((3, 5))
         K = build_kernel(X, KernelSpec())
-        M = constraint_matrix(K, pca_graph(5), ridge=0.0)
+        M, _ = constraint_matrix(K, pca_graph(5), ridge=0.0)
         assert np.array_equal(M, 0.5 * (K + K.T))
 
     def test_scaled_identity(self):
         K = np.eye(4)
         pair = GraphPair(S=np.zeros((4, 4)), B=2.0 * np.eye(4), uses_kbk=True)
         ridge = 0.5
-        M = constraint_matrix(K, pair, ridge=ridge)
+        M, _ = constraint_matrix(K, pair, ridge=ridge)
         assert np.allclose(M, (2.0 + 2.0 * ridge) * np.eye(4))
 
     def test_degenerate_kernel_rejected(self):

@@ -1,7 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,28 +14,30 @@ from kmsa import (
     KernelSpec,
     KmsaConfig,
     MultiviewDataset,
+    NumericError,
     WeightDomainWarning,
     fit,
     generate_synthetic,
     transform,
 )
-from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
+from kmsa.eigsolver import cholesky_factor, fix_signs, generalized_eigh, whiten
+from kmsa.graphs import GraphPair, build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
     MONOTONE_SLACK,
     OptState,
-    ViewState,
-    build_h,
     closed_form_weights,
     gram_divergence,
     objective,
     objective_terms,
     update_view,
+    view_state,
     view_trace_terms,
 )
 
 from conftest import random_dataset
 from oracles import (
+    build_h,
     dense_objective_terms,
     dense_trace_terms,
     kpca_oracle,
@@ -50,8 +54,10 @@ def pca_p(n):
     return laplacian(pca_graph(n).S)
 
 
-def view_state(K, P, M, U):
-    return ViewState(K=K, KPK=sym(K @ P @ K), M=M, U=U)
+def hand_state(K, P, M, U):
+    """A view's optimizer state from a kernel, graph quadratic and constraint,
+    factored and whitened as fit does."""
+    return view_state(K, sym(K @ P @ K), cholesky_factor(M), U)
 
 
 def make_state(rng, m=2, n=6, d=2):
@@ -61,9 +67,9 @@ def make_state(rng, m=2, n=6, d=2):
     for v in range(m):
         X = rng.standard_normal((3, n))
         K = build_kernel(X, KernelSpec())
-        M = constraint_matrix(K, pca_graph(n), ridge=1e-6)
+        _, L = constraint_matrix(K, pca_graph(n), ridge=1e-6)
         U = rng.standard_normal((n, d))
-        states.append(view_state(K, pca_p(n), M, U))
+        states.append(view_state(K, sym(K @ pca_p(n) @ K), L, U))
     return OptState(states=states, alpha=np.full(m, 1.0 / m), objective_trace=[])
 
 
@@ -74,7 +80,7 @@ def fitted_constraint(data, model, v):
     X = data.views[v]
     K = build_kernel(X, model.kernels[v], center=cfg.center_kernel)
     recipe = cfg.graphs_for(data.n_views)[v]
-    return constraint_matrix(K, build_graph(X, data.labels, recipe), cfg.ridge)
+    return constraint_matrix(K, build_graph(X, data.labels, recipe), cfg.ridge)[0]
 
 
 class TestObjective:
@@ -91,7 +97,7 @@ class TestObjective:
         state = make_state(rng, m=m)
         for v in range(m):
             vs = state.states[v]
-            state.states[v] = ViewState(K=vs.K, KPK=vs.KPK, M=vs.M, U=np.zeros_like(vs.U))
+            state.states[v] = replace(vs, U=np.zeros_like(vs.U))
         cfg = KmsaConfig(d=2)
         assert objective(state, cfg) == pytest.approx(
             cfg.kappa * m * (1.0 / m) ** cfg.r, rel=1e-12
@@ -109,8 +115,8 @@ class TestObjective:
         r, kappa, eta = 3.0, 0.1, -1.0
         state = OptState(
             states=[
-                ViewState(K=K1, KPK=K1 @ P1 @ K1, M=np.eye(3), U=u1),
-                ViewState(K=K2, KPK=K2 @ P2 @ K2, M=np.eye(3), U=u2),
+                hand_state(K1, P1, np.eye(3), u1),
+                hand_state(K2, P2, np.eye(3), u2),
             ],
             alpha=alpha,
             objective_trace=[],
@@ -153,7 +159,7 @@ def trace_problems(draw):
         Ks.append(build_kernel(rng.standard_normal((3, n)), KernelSpec()))
         Ps.append(laplacian(sym(rng.standard_normal((n, n)))))
         Us.append(rng.standard_normal((n, d)))
-    states = [view_state(K, P, np.eye(n), U) for K, P, U in zip(Ks, Ps, Us)]
+    states = [hand_state(K, P, np.eye(n), U) for K, P, U in zip(Ks, Ps, Us)]
     alpha = rng.dirichlet(np.ones(m))
     state = OptState(states=states, alpha=alpha, objective_trace=[])
     return state, cfg, Ks, Ps, Us
@@ -189,30 +195,30 @@ class TestDenseReferences:
 
 
 class TestBuildH:
+    """The dense reference quadratic that TestUpdateView compares against."""
+
     def test_single_view_is_bare_quadratic(self, rng):
         state = make_state(rng, m=1)
-        state.alpha = np.array([1.0])
-        cfg = KmsaConfig(d=2)
         vs = state.states[0]
-        expected = vs.K @ pca_p(6) @ vs.K
-        assert np.allclose(build_h(state, 0, cfg), sym(expected))
+        kpk = vs.K @ pca_p(6) @ vs.K
+        H = build_h(kpk, [vs.U], np.array([1.0]), 0, 3.0, -1.0)
+        assert np.allclose(H, sym(kpk))
 
     def test_uniform_weights_coefficient(self, rng):
         state = make_state(rng, m=2)
-        cfg = KmsaConfig(d=2, eta=-1.0)
         vs0, vs1 = state.states
-        H = build_h(state, 0, cfg)
-        coupling = H - sym(vs0.K @ pca_p(6) @ vs0.K)
+        kpk = sym(vs0.K @ pca_p(6) @ vs0.K)
+        H = build_h(kpk, [vs0.U, vs1.U], state.alpha, 0, 3.0, -1.0)
+        coupling = H - kpk
         # (1 + 1) / (2 eta) = 1/eta = -1
         assert np.allclose(coupling, -vs1.U @ vs1.U.T, atol=1e-12)
 
     def test_skewed_weights_coefficient(self, rng):
         state = make_state(rng, m=2)
-        state.alpha = np.array([0.8, 0.2])
-        cfg = KmsaConfig(d=2, r=3.0, eta=-1.0)
         vs0, vs1 = state.states
-        H = build_h(state, 0, cfg)
-        coupling = H - sym(vs0.K @ pca_p(6) @ vs0.K)
+        kpk = sym(vs0.K @ pca_p(6) @ vs0.K)
+        H = build_h(kpk, [vs0.U, vs1.U], np.array([0.8, 0.2]), 0, 3.0, -1.0)
+        coupling = H - kpk
         coeff = (1.0 + (0.2 / 0.8) ** 3) / (2.0 * -1.0)
         assert coeff == pytest.approx(-0.5078125)
         assert np.allclose(coupling, coeff * vs1.U @ vs1.U.T, atol=1e-12)
@@ -222,7 +228,7 @@ class TestUpdateView:
     def test_diagonal_quadratic_picks_smallest_entries(self):
         H = np.diag([5.0, -1.0, 2.0, 0.0])
         state = OptState(
-            states=[view_state(np.eye(4), H, np.eye(4), np.zeros((4, 2)))],
+            states=[hand_state(np.eye(4), H, np.eye(4), np.zeros((4, 2)))],
             alpha=np.array([1.0]),
             objective_trace=[],
         )
@@ -243,8 +249,110 @@ class TestUpdateView:
         state = make_state(rng, m=2, d=3, n=8)
         cfg = KmsaConfig(d=3)
         U = update_view(state, 1, cfg)
-        M = state.states[1].M
+        L = state.states[1].L
+        M = L @ L.T
         assert np.abs(U.T @ M @ U - np.eye(3)).max() < 1e-8
+
+
+@st.composite
+def update_problems(draw):
+    """A random m-view state (m in 1..4, N in 3..30, d in 1..N) with signed
+    graph quadratics, constraints K or K K plus a log-uniform ridge in
+    [1e-8, 1], simplex weights and a view to update, built as fit builds it;
+    returns (state, cfg, v, kpks, Ms) with the dense K P K and M of each view."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 30))
+    cfg = KmsaConfig(
+        d=draw(st.integers(1, n)),
+        r=draw(st.floats(1.1, 5.0)),
+        eta=draw(st.floats(-5.0, -0.1)),
+        ridge=10.0 ** draw(st.floats(-8.0, 0.0)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states, kpks, Ms = [], [], []
+    for _ in range(m):
+        K = build_kernel(rng.standard_normal((3, n)), KernelSpec())
+        S = sym(rng.standard_normal((n, n)))
+        pair = GraphPair(S=S, B=np.eye(n), uses_kbk=draw(st.booleans()))
+        kpk = sym(K @ laplacian(S) @ K)
+        M, L = constraint_matrix(K, pair, cfg.ridge)
+        states.append(view_state(K, kpk, L, rng.standard_normal((n, cfg.d))))
+        kpks.append(kpk)
+        Ms.append(M)
+    state = OptState(states=states, alpha=rng.dirichlet(np.ones(m)), objective_trace=[])
+    return state, cfg, draw(st.integers(0, m - 1)), kpks, Ms
+
+
+class TestCachedUpdate:
+    """update_view solves from the cached factor and whitened quadratic; these
+    tests hold it to the one-shot solve of the dense pencil (H_v, M_v)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(update_problems())
+    def test_matches_dense_generalized_solve(self, problem):
+        state, cfg, v, kpks, Ms = problem
+        M, d = Ms[v], cfg.d
+        n = M.shape[0]
+        Us = [vs.U for vs in state.states]
+        H = build_h(kpks[v], Us, state.alpha, v, cfg.r, cfg.eta)
+        U = update_view(state, v, cfg)
+        lam, V = generalized_eigh(H, M, n)
+        # Backward-stable solves move eigenvalues by O(eps) times the largest
+        # one, and the Cholesky factor represents M to O(n eps cond(M)); both
+        # hold for either route, so the tolerances are taken relative to them.
+        # U's Rayleigh quotients are taken in whitened coordinates, where they
+        # do not cancel.
+        scale = 1.0 + np.abs(lam).max()
+        L = state.states[v].L
+        Y = L.T @ U
+        w = np.sum(Y * (whiten(L, H) @ Y), axis=0) / np.sum(Y * Y, axis=0)
+        assert np.abs(w - lam[:d]).max() <= 1e-8 * scale
+        orth = np.abs(U.T @ M @ U - np.eye(d)).max()
+        assert orth <= 1e-8 + n * np.finfo(float).eps * np.linalg.cond(M)
+        if d == n or lam[d] - lam[d - 1] > 1e-6 * scale:
+            ref = V[:, :d] @ V[:, :d].T @ M
+            assert np.abs(U @ U.T @ M - ref).max() <= 1e-6
+        assert np.array_equal(fix_signs(U), U)
+
+    def test_residual_check_rejects_a_pencil_other_than_the_cached_one(self, monkeypatch):
+        # the eigensolver is handed the whitened matrix plus 1e-3 I: its pairs
+        # solve a shifted pencil, which the check against the cache must catch
+        H = np.diag([5.0, -1.0, 2.0, 0.0])
+        state = OptState(
+            states=[hand_state(np.eye(4), H, np.eye(4), np.zeros((4, 2)))],
+            alpha=np.array([1.0]),
+            objective_trace=[],
+        )
+        real_eigh = scipy.linalg.eigh
+
+        def shifted_eigh(a, *args, **kwargs):
+            return real_eigh(a + 1e-3 * np.eye(a.shape[0]), *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", shifted_eigh)
+        with pytest.raises(NumericError, match="backward-error bound"):
+            update_view(state, 0, KmsaConfig(d=2))
+
+    def test_degenerate_kernel_at_zero_ridge_asks_for_a_ridge(self, rng):
+        # a linear kernel over identical samples is the all-ones matrix
+        data = MultiviewDataset(views=[np.ones((1, 8)), rng.standard_normal((3, 8))])
+        cfg = KmsaConfig(d=2, kernel=KernelSpec(kind="linear"), ridge=0.0)
+        with pytest.raises(NumericError, match="raise the ridge"):
+            fit(data, cfg)
+
+    def test_each_view_is_factored_once_per_fit(self, rng, monkeypatch):
+        calls = []
+        real_cholesky = scipy.linalg.cholesky
+
+        def counting_cholesky(*args, **kwargs):
+            calls.append(1)
+            return real_cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        data = random_dataset(rng, m=3, n=15)
+        cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp", k=4), max_iters=5, tol=1e-300)
+        model = fit(data, cfg)
+        assert len(model.objective_trace) == 6
+        assert len(calls) == 3
 
 
 class TestWeights:
