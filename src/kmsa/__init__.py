@@ -27,7 +27,7 @@ from .errors import (
     VersionError,
     WeightDomainWarning,
 )
-from .evaluation import EvalReport, knn_classify, retrieval_metrics
+from .evaluation import knn_classify, retrieval_metrics
 from .kernels import build_kernel, median_heuristic_bandwidth
 from .optimizer import fit, transform
 from .types import (
@@ -44,7 +44,6 @@ __all__ = [
     "ConvergenceWarning",
     "DimensionError",
     "EvalError",
-    "EvalReport",
     "FormatError",
     "GraphRecipe",
     "GraphError",

@@ -45,7 +45,9 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def load_config_file(path) -> KmsaConfig:
+def load_config_file(path, recipe=None) -> KmsaConfig:
+    """The JSON config at path; recipe, when given, replaces every view's
+    graph kind."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -57,7 +59,8 @@ def load_config_file(path) -> KmsaConfig:
         raise FormatError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FormatError(f"{p}: config must be a JSON object")
-    return KmsaConfig.from_dict(raw)
+    cfg = KmsaConfig.from_dict(raw)
+    return cfg.with_graph_kind(recipe) if recipe else cfg
 
 
 def summary_line(**kv) -> str:
@@ -76,18 +79,12 @@ def format_alpha(alpha) -> str:
 def write_fit_outputs(out_dir: Path, model, data) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     data_io.save_model(model, out_dir / "model", train_data=data)
-    trace_rows = np.column_stack(
-        [np.arange(len(model.objective_trace)), np.asarray(model.objective_trace)]
-    )
-    data_io.write_matrix_csv(
-        out_dir / "trace.csv", trace_rows, header=["iteration", "objective"]
-    )
-    weight_rows = np.column_stack(
-        [np.arange(len(model.alpha)), np.asarray(model.alpha)]
-    )
-    data_io.write_matrix_csv(
-        out_dir / "weights.csv", weight_rows, header=["view", "alpha"]
-    )
+    for name, header, values in (
+        ("trace.csv", ["iteration", "objective"], model.objective_trace),
+        ("weights.csv", ["view", "alpha"], model.alpha),
+    ):
+        rows = np.column_stack([np.arange(len(values)), np.asarray(values)])
+        data_io.write_matrix_csv(out_dir / name, rows, header=header)
     for v, Y in enumerate(model.embeddings, start=1):
         data_io.write_matrix_csv(out_dir / f"embeddings_{v}.csv", Y.T)
         # first two embedding dimensions, for external plotting
@@ -95,9 +92,7 @@ def write_fit_outputs(out_dir: Path, model, data) -> None:
 
 
 def cmd_fit(args) -> int:
-    cfg = load_config_file(args.config)
-    if args.recipe:
-        cfg = cfg.with_graph_kind(args.recipe)
+    cfg = load_config_file(args.config, args.recipe)
     data = data_io.load_dataset(args.data)
     model = optimizer.fit(data, cfg)
     out_dir = Path(args.out)
@@ -155,6 +150,9 @@ def split_indices(n: int, train_frac: float, rng) -> tuple:
 
 
 def evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs):
+    """Fit on one split and score every view. Returns the per-view metric
+    records, the best view (highest accuracy or mAP, ties to the lowest
+    view) and the model."""
     train = data.subset(train_idx)
     test = data.subset(test_idx)
     model = optimizer.fit(train, cfg)
@@ -167,17 +165,18 @@ def evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs):
             )
             per_view.append({"accuracy": acc})
         else:
-            rep = evaluation.retrieval_metrics(
-                test_embedded[v], model.embeddings[v], test.labels, train.labels, cutoffs
+            per_view.append(
+                evaluation.retrieval_metrics(
+                    test_embedded[v], model.embeddings[v], test.labels, train.labels, cutoffs
+                )
             )
-            per_view.append(rep.per_view[0])
-    return evaluation.build_report(task, per_view), model
+    headline = "accuracy" if task == "classification" else "map"
+    best = int(np.argmax([rec[headline] for rec in per_view]))
+    return per_view, best, model
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config_file(args.config)
-    if args.recipe:
-        cfg = cfg.with_graph_kind(args.recipe)
+    cfg = load_config_file(args.config, args.recipe)
     data = data_io.load_dataset(args.data)
     if data.labels is None:
         raise EvalError("evaluation requires labels.csv in the dataset directory")
@@ -196,7 +195,13 @@ def cmd_eval(args) -> int:
         if cutoffs is None and task == "retrieval":
             gallery_size = len(train_idx)
             if args.top_n:
-                cutoffs = [int(x) for x in args.top_n.split(",")]
+                try:
+                    cutoffs = [int(x) for x in args.top_n.split(",")]
+                except ValueError:
+                    raise ConfigError(
+                        "top_n_format",
+                        f"--top-n must be comma-separated integers, got {args.top_n!r}",
+                    ) from None
                 if any(c < 1 or c > gallery_size for c in cutoffs):
                     raise ConfigError(
                         "top_n_range",
@@ -204,15 +209,14 @@ def cmd_eval(args) -> int:
                     )
             else:
                 cutoffs = sorted({min(c, gallery_size) for c in (1, 5, 10)})
-        report, model = evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs)
-        best = report.per_view[report.best_view]
+        per_view, best, model = evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs)
         repeats.append(
             {
                 "repeat": i,
                 "seed": args.seed + i,
-                "best_view": report.best_view,
-                "best": best,
-                "views": list(report.per_view),
+                "best_view": best,
+                "best": per_view[best],
+                "views": per_view,
                 "alpha": [data_io.format_float(a) for a in model.alpha],
             }
         )
@@ -224,20 +228,13 @@ def cmd_eval(args) -> int:
     else:
         mean_block = {
             "best_map": float(np.mean([r["best"]["map"] for r in repeats])),
-            "best_precision": [
-                float(np.mean([r["best"]["precision"][ci] for r in repeats]))
-                for ci in range(len(cutoffs))
-            ],
-            "best_recall": [
-                float(np.mean([r["best"]["recall"][ci] for r in repeats]))
-                for ci in range(len(cutoffs))
-            ],
-            "best_f1": [
-                float(np.mean([r["best"]["f1"][ci] for r in repeats]))
-                for ci in range(len(cutoffs))
-            ],
             "cutoffs": cutoffs,
         }
+        for key in ("precision", "recall", "f1"):
+            mean_block[f"best_{key}"] = [
+                float(np.mean([r["best"][key][ci] for r in repeats]))
+                for ci in range(len(cutoffs))
+            ]
         headline = {"mean_best_map": mean_block["best_map"]}
 
     report_doc = {

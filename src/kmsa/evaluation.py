@@ -8,22 +8,9 @@ precision-at-rank over each query's relevant ranks in the full gallery scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, EvalError
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """task is "classification" or "retrieval"; per_view holds one metric
-    record per evaluated view; best_view is the index with the highest
-    headline metric."""
-
-    task: str
-    per_view: tuple
-    best_view: int
 
 
 def knn_classify(
@@ -63,29 +50,19 @@ def knn_classify(
     return float(np.mean(predicted == test_labels))
 
 
-def average_precision(relevant_mask: np.ndarray) -> float:
-    """AP of one ranked relevance mask: mean of precision at each relevant rank."""
-    relevant_mask = np.asarray(relevant_mask, dtype=bool)
-    total = int(relevant_mask.sum())
-    if total == 0:
-        return 0.0
-    ranks = np.nonzero(relevant_mask)[0] + 1
-    hits = np.arange(1, total + 1)
-    return float(np.mean(hits / ranks))
-
-
 def retrieval_metrics(
     queries: np.ndarray,
     gallery: np.ndarray,
     query_labels,
     gallery_labels,
     top_n,
-) -> EvalReport:
+) -> dict:
     """Rank the gallery per query by l1 distance and average Precision@n,
     Recall@n, F1@n over queries at each cutoff, plus mAP.
 
-    Raises EvalError when some query's class has no gallery members (its
-    recall would be undefined).
+    Returns {"cutoffs", "precision", "recall", "f1", "map"}, one list entry
+    per cutoff. Raises EvalError when some query's class has no gallery
+    members (its recall would be undefined).
     """
     queries = np.asarray(queries, dtype=float)
     gallery = np.asarray(gallery, dtype=float)
@@ -103,48 +80,32 @@ def retrieval_metrics(
     if any(n < 1 or n > n_g for n in cutoffs):
         raise EvalError(f"cutoffs must lie in [1, {n_g}], got {cutoffs}")
 
-    precision = np.zeros(len(cutoffs))
-    recall = np.zeros(len(cutoffs))
-    f1 = np.zeros(len(cutoffs))
-    ap_values = np.zeros(n_q)
-    for qi in range(n_q):
-        total_relevant = int(np.sum(gallery_labels == query_labels[qi]))
-        if total_relevant == 0:
-            raise EvalError(
-                f"query {qi} (class {query_labels[qi]}) has no gallery members"
-            )
-        dist = np.sum(np.abs(gallery - queries[:, qi : qi + 1]), axis=0)
-        order = np.argsort(dist, kind="stable")
-        relevant = gallery_labels[order] == query_labels[qi]
-        hits = np.cumsum(relevant)
-        ap_values[qi] = average_precision(relevant)
-        for ci, n in enumerate(cutoffs):
-            p = hits[n - 1] / n
-            rec = hits[n - 1] / total_relevant
-            precision[ci] += p
-            recall[ci] += rec
-            f1[ci] += 2.0 * p * rec / (p + rec) if p + rec > 0 else 0.0
-    precision /= n_q
-    recall /= n_q
-    f1 /= n_q
-    record = {
+    same_class = query_labels[:, None] == gallery_labels[None, :]
+    total_relevant = same_class.sum(axis=1)
+    missing = np.flatnonzero(total_relevant == 0)
+    if missing.size:
+        qi = missing[0]
+        raise EvalError(f"query {qi} (class {query_labels[qi]}) has no gallery members")
+    # Q x G l1 distances, one embedding row at a time to stay O(Q G) in memory
+    dist = np.zeros((n_q, n_g))
+    for q_row, g_row in zip(queries, gallery):
+        dist += np.abs(g_row[None, :] - q_row[:, None])
+    order = np.argsort(dist, axis=1, kind="stable")
+    relevant = np.take_along_axis(same_class, order, axis=1)
+    hits = np.cumsum(relevant, axis=1)
+
+    cut = np.asarray(cutoffs)
+    precision = hits[:, cut - 1] / cut
+    recall = hits[:, cut - 1] / total_relevant[:, None]
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(both), where=both > 0)
+    # each query's AP: the mean precision at its relevant ranks
+    precision_at_rank = hits / np.arange(1, n_g + 1)
+    ap = np.where(relevant, precision_at_rank, 0.0).sum(axis=1) / total_relevant
+    return {
         "cutoffs": cutoffs,
-        "precision": precision.tolist(),
-        "recall": recall.tolist(),
-        "f1": f1.tolist(),
-        "map": float(np.mean(ap_values)),
+        "precision": precision.mean(axis=0).tolist(),
+        "recall": recall.mean(axis=0).tolist(),
+        "f1": f1.mean(axis=0).tolist(),
+        "map": float(np.mean(ap)),
     }
-    return EvalReport(task="retrieval", per_view=(record,), best_view=0)
-
-
-def headline_metric(task: str, record: dict) -> float:
-    """The scalar used to pick the best view: accuracy or mAP."""
-    return record["accuracy"] if task == "classification" else record["map"]
-
-
-def build_report(task: str, per_view) -> EvalReport:
-    """Assemble a multiview report; best_view maximizes the headline metric
-    (ties to the lowest view index)."""
-    scores = [headline_metric(task, rec) for rec in per_view]
-    best = int(np.argmax(scores)) if scores else 0
-    return EvalReport(task=task, per_view=tuple(per_view), best_view=best)

@@ -169,7 +169,7 @@ def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
         raise GraphError("lasso weight must be positive")
     M, finished = sparse_codes(X, lam, max_iters)
     notes = tuple(
-        f"lasso column {i} hit max_iters={max_iters} before tol"
+        f"lasso column {i} hit the {max_iters}-step homotopy cap before lasso_lambda"
         for i in np.flatnonzero(~finished)
     )
     if notes:

@@ -90,7 +90,6 @@ def cross_kernel(
     X_new: np.ndarray,
     spec: KernelSpec,
     center: bool = False,
-    K_train_raw: np.ndarray | None = None,
 ) -> np.ndarray:
     """N x Q kernel columns of new points against the training samples.
 
@@ -104,8 +103,6 @@ def cross_kernel(
     if not np.isfinite(Kc).all():
         raise NumericError(f"{spec.kind} kernel produced non-finite entries")
     if center:
-        if K_train_raw is None:
-            K_train_raw = _raw_kernel(X_train, X_train, spec)
-        shifted = Kc - K_train_raw.mean(axis=1, keepdims=True)
+        shifted = Kc - _raw_kernel(X_train, X_train, spec).mean(axis=1, keepdims=True)
         Kc = shifted - shifted.mean(axis=0, keepdims=True)
     return Kc

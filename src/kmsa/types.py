@@ -7,7 +7,7 @@ All types are frozen dataclasses and safe to share read-only across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -18,6 +18,64 @@ KERNEL_KINDS = ("gaussian", "linear", "polynomial")
 GRAPH_KINDS = ("pca", "lpp", "lda", "spp")
 
 MEDIAN = "median"  # sentinel: resolve the Gaussian bandwidth by the median heuristic
+
+
+def _to_dict(spec) -> dict:
+    """Every field of a config dataclass as a JSON value; nested specs nest."""
+    out = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, (KernelSpec, GraphRecipe)):
+            value = value.to_dict()
+        elif isinstance(value, (list, tuple)):
+            value = [v.to_dict() for v in value]
+        out[f.name] = value
+    return out
+
+
+def _json_value(owner: str, name: str, annotation: str, value):
+    """One JSON value converted to its field's annotated type.
+
+    An int is accepted for a float and an integral float for an int; a
+    float-or-string field takes either, and validate_config judges the string.
+    A bool is never a number here, although Python treats it as one.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation == "int" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if annotation in ("float", "Union[float, str]") and number:
+        return float(value)
+    if annotation in ("str", "Union[float, str]") and isinstance(value, str):
+        return value
+    if annotation == "bool" and isinstance(value, bool):
+        return value
+    raise ConfigError("bad_type", f"{owner} field {name!r} has the wrong type: {value!r}")
+
+
+def _from_dict(cls, raw):
+    """Build a config dataclass from a JSON object; omitted keys take the
+    defaults of the field declarations.
+
+    A field whose default_factory is a spec class (kernel, graph) takes one
+    object or a list with one object per view.
+    """
+    owner = cls.__name__
+    if not isinstance(raw, dict):
+        raise ConfigError("bad_type", f"{owner} must be a JSON object, got {raw!r}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(declared))
+    if unknown:
+        raise ConfigError("unknown_key", f"unknown {owner} key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for name, value in raw.items():
+        spec = declared[name].default_factory
+        if spec not in (KernelSpec, GraphRecipe):
+            kwargs[name] = _json_value(owner, name, declared[name].type, value)
+        elif isinstance(value, list):
+            kwargs[name] = tuple(spec.from_dict(v) for v in value)
+        else:
+            kwargs[name] = spec.from_dict(value)
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -34,23 +92,8 @@ class KernelSpec:
     degree: int = 2
     offset: float = 1.0
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "gaussian":
-            d["bandwidth"] = self.bandwidth
-        elif self.kind == "polynomial":
-            d["degree"] = self.degree
-            d["offset"] = self.offset
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "KernelSpec":
-        return KernelSpec(
-            kind=d.get("kind", "gaussian"),
-            bandwidth=d.get("bandwidth", MEDIAN),
-            degree=int(d.get("degree", 2)),
-            offset=float(d.get("offset", 1.0)),
-        )
+    to_dict = _to_dict
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
@@ -72,25 +115,8 @@ class GraphRecipe:
     lasso_lambda: float = 0.1
     lasso_max_iters: int = 500
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "lpp":
-            d["k"] = self.k
-            d["heat"] = self.heat
-        elif self.kind == "spp":
-            d["lasso_lambda"] = self.lasso_lambda
-            d["lasso_max_iters"] = self.lasso_max_iters
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GraphRecipe":
-        return GraphRecipe(
-            kind=d.get("kind", "pca"),
-            k=int(d.get("k", 5)),
-            heat=d.get("heat", MEDIAN),
-            lasso_lambda=float(d.get("lasso_lambda", 0.1)),
-            lasso_max_iters=int(d.get("lasso_max_iters", 500)),
-        )
+    to_dict = _to_dict
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
@@ -166,56 +192,13 @@ class KmsaConfig:
             return (self.graph,) * m
         return tuple(self.graph)
 
-    def to_dict(self) -> dict:
-        kern = self.kernel
-        graph = self.graph
-        return {
-            "d": self.d,
-            "r": self.r,
-            "kappa": self.kappa,
-            "eta": self.eta,
-            "kernel": kern.to_dict()
-            if isinstance(kern, KernelSpec)
-            else [k.to_dict() for k in kern],
-            "graph": graph.to_dict()
-            if isinstance(graph, GraphRecipe)
-            else [g.to_dict() for g in graph],
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "ridge": self.ridge,
-            "center_kernel": self.center_kernel,
-            "seed": self.seed,
-        }
+    to_dict = _to_dict
 
-    @staticmethod
-    def from_dict(d: dict) -> "KmsaConfig":
-        if "d" not in d:
+    @classmethod
+    def from_dict(cls, d: dict) -> "KmsaConfig":
+        if isinstance(d, dict) and "d" not in d:
             raise ConfigError("missing_d", "config must specify the target dimension d")
-        kern = d.get("kernel", {})
-        graph = d.get("graph", {})
-        kernel = (
-            tuple(KernelSpec.from_dict(k) for k in kern)
-            if isinstance(kern, (list, tuple))
-            else KernelSpec.from_dict(kern)
-        )
-        recipe = (
-            tuple(GraphRecipe.from_dict(g) for g in graph)
-            if isinstance(graph, (list, tuple))
-            else GraphRecipe.from_dict(graph)
-        )
-        return KmsaConfig(
-            d=int(d["d"]),
-            r=float(d.get("r", 3.0)),
-            kappa=float(d.get("kappa", 0.1)),
-            eta=float(d.get("eta", -1.0)),
-            kernel=kernel,
-            graph=recipe,
-            max_iters=int(d.get("max_iters", 30)),
-            tol=float(d.get("tol", 1e-6)),
-            ridge=float(d.get("ridge", 1e-8)),
-            center_kernel=bool(d.get("center_kernel", False)),
-            seed=int(d.get("seed", 0)),
-        )
+        return _from_dict(cls, d)
 
     def with_graph_kind(self, kind: str) -> "KmsaConfig":
         """Replace every view's graph recipe kind, keeping other knobs."""
@@ -285,13 +268,18 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
     _check(cfg.tol > 0.0, "tol_not_positive", "tol must be > 0")
     _check(cfg.ridge >= 0.0, "ridge_negative", "ridge must be >= 0")
 
-    kernels = cfg.kernel if not isinstance(cfg.kernel, KernelSpec) else (cfg.kernel,)
-    if not isinstance(cfg.kernel, KernelSpec):
-        _check(
-            len(kernels) == m,
-            "kernel_count_mismatch",
-            f"{len(kernels)} kernel specs for {m} views",
-        )
+    kernels = cfg.kernels_for(m)
+    _check(
+        len(kernels) == m,
+        "kernel_count_mismatch",
+        f"{len(kernels)} kernel specs for {m} views",
+    )
+    recipes = cfg.graphs_for(m)
+    _check(
+        len(recipes) == m,
+        "graph_count_mismatch",
+        f"{len(recipes)} graph recipes for {m} views",
+    )
     for spec in kernels:
         _check(
             spec.kind in KERNEL_KINDS, "unknown_kernel", f"unknown kernel {spec.kind!r}"
@@ -313,13 +301,6 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
             _check(spec.degree >= 1, "degree_too_small", "polynomial degree must be >= 1")
             _check(spec.offset >= 0, "offset_negative", "polynomial offset must be >= 0")
 
-    recipes = cfg.graph if not isinstance(cfg.graph, GraphRecipe) else (cfg.graph,)
-    if not isinstance(cfg.graph, GraphRecipe):
-        _check(
-            len(recipes) == m,
-            "graph_count_mismatch",
-            f"{len(recipes)} graph recipes for {m} views",
-        )
     for recipe in recipes:
         _check(
             recipe.kind in GRAPH_KINDS, "unknown_graph", f"unknown graph {recipe.kind!r}"

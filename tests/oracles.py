@@ -6,11 +6,14 @@ spectral inverse square root instead of a Cholesky factor, the kernel PCA
 oracle is a plain eigendecomposition of the centered Gram matrix, the lasso
 oracle is a refining grid search, the lasso reference solves one column at a
 time with scalar coordinate updates, the simplex oracle is an exhaustive
-grid scan, and the quadratic, trace and objective references form the dense
-N x N matrices H_v, K P K and J_v that the optimizer avoids.
+grid scan, the quadratic, trace and objective references form the dense
+N x N matrices H_v, K P K and J_v that the optimizer avoids, and the
+retrieval reference ranks and scores one query at a time.
 """
 
 import numpy as np
+
+from kmsa import EvalError
 
 
 def gen_eig_oracle(H, M, d):
@@ -185,3 +188,58 @@ def dense_objective_terms(Ks, Ps, Us, alpha, r, kappa, eta):
         "alignment": align,
     }
     return terms, scale
+
+
+def average_precision(relevant_mask: np.ndarray) -> float:
+    """AP of one ranked relevance mask: mean of precision at each relevant rank."""
+    relevant_mask = np.asarray(relevant_mask, dtype=bool)
+    total = int(relevant_mask.sum())
+    if total == 0:
+        return 0.0
+    ranks = np.nonzero(relevant_mask)[0] + 1
+    hits = np.arange(1, total + 1)
+    return float(np.mean(hits / ranks))
+
+
+def retrieval_reference(queries, gallery, query_labels, gallery_labels, top_n) -> dict:
+    """retrieval_metrics one query at a time: rank the gallery by l1 distance
+    (stable sort, ties to the lowest gallery index), then accumulate each
+    query's Precision@n, Recall@n, F1@n and AP."""
+    queries = np.asarray(queries, dtype=float)
+    gallery = np.asarray(gallery, dtype=float)
+    query_labels = np.asarray(query_labels)
+    gallery_labels = np.asarray(gallery_labels)
+    n_q = queries.shape[1]
+    cutoffs = [int(n) for n in top_n]
+
+    precision = np.zeros(len(cutoffs))
+    recall = np.zeros(len(cutoffs))
+    f1 = np.zeros(len(cutoffs))
+    ap_values = np.zeros(n_q)
+    for qi in range(n_q):
+        total_relevant = int(np.sum(gallery_labels == query_labels[qi]))
+        if total_relevant == 0:
+            raise EvalError(
+                f"query {qi} (class {query_labels[qi]}) has no gallery members"
+            )
+        dist = np.sum(np.abs(gallery - queries[:, qi : qi + 1]), axis=0)
+        order = np.argsort(dist, kind="stable")
+        relevant = gallery_labels[order] == query_labels[qi]
+        hits = np.cumsum(relevant)
+        ap_values[qi] = average_precision(relevant)
+        for ci, n in enumerate(cutoffs):
+            p = hits[n - 1] / n
+            rec = hits[n - 1] / total_relevant
+            precision[ci] += p
+            recall[ci] += rec
+            f1[ci] += 2.0 * p * rec / (p + rec) if p + rec > 0 else 0.0
+    precision /= n_q
+    recall /= n_q
+    f1 /= n_q
+    return {
+        "cutoffs": cutoffs,
+        "precision": precision.tolist(),
+        "recall": recall.tolist(),
+        "f1": f1.tolist(),
+        "map": float(np.mean(ap_values)),
+    }

@@ -263,13 +263,11 @@ def test_09_metric_correctness():
     with report(9, "metric correctness"):
         queries = np.array([[0.0]])
         gallery = np.array([[1.0, 2.0, 3.0, 4.0]])
-        rep = retrieval_metrics(queries, gallery, [7], [7, 0, 7, 0], top_n=[1, 2, 4])
-        rec = rep.per_view[0]
+        rec = retrieval_metrics(queries, gallery, [7], [7, 0, 7, 0], top_n=[1, 2, 4])
         assert rec["map"] == pytest.approx(5.0 / 6.0)
         assert rec["precision"][0] == 1.0 and rec["recall"][0] == pytest.approx(0.5)
 
-        single = retrieval_metrics(np.array([[0.0]]), np.array([[0.5]]), [0], [0], [1])
-        srec = single.per_view[0]
+        srec = retrieval_metrics(np.array([[0.0]]), np.array([[0.5]]), [0], [0], [1])
         assert (srec["precision"], srec["recall"], srec["f1"], srec["map"]) == (
             [1.0], [1.0], [1.0], 1.0,
         )
@@ -283,8 +281,7 @@ def test_09_metric_correctness():
             Q = rng.standard_normal((3, n_q))
             G = rng.standard_normal((3, n_g))
             cutoffs = sorted(set(int(c) for c in rng.integers(1, n_g + 1, size=3)) | {n_g})
-            rep = retrieval_metrics(Q, G, q_labels, g_labels, cutoffs)
-            rec = rep.per_view[0]
+            rec = retrieval_metrics(Q, G, q_labels, g_labels, cutoffs)
             recalls = rec["recall"]
             assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))
             assert recalls[-1] == pytest.approx(1.0)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kmsa.cli import main
+import kmsa
+from kmsa import KmsaConfig, generate_synthetic
+from kmsa.cli import evaluate_repeat, main
 from kmsa.data_io import load_dataset, load_report, read_matrix_csv
 
 
@@ -118,6 +124,15 @@ class TestFit:
             "--out", str(tmp_path / "o"), "--config", str(bad),
         )
         assert code == 2
+
+    def test_unknown_config_key_exits_one(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, kapa=0.5)
+        code, _, err = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        )
+        assert code == 1
+        assert "kapa" in err
 
     def test_numeric_failure_exits_three(self, tmp_path, capsys):
         huge = tmp_path / "huge"
@@ -239,6 +254,16 @@ class TestEval:
         for key in ("precision", "recall", "f1", "map", "cutoffs"):
             assert key in first
 
+    def test_malformed_top_n_exits_one(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code, _, err = run(
+            capsys, "eval", "--task", "retrieve", "--data", str(synth_dir),
+            "--config", str(cfg), "--out", str(tmp_path / "x.json"),
+            "--repeats", "1", "--top-n", "1,a",
+        )
+        assert code == 1
+        assert "--top-n" in err
+
     def test_bad_train_frac_exits_one(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code, _, _ = run(
@@ -272,3 +297,31 @@ def test_fit_outputs_parse_back_through_loaders(synth_dir, tmp_path, capsys):
     model = load_model(out / "model")
     train = load_training_data(out / "model")
     assert train.n_samples == model.embeddings[0].shape[1]
+
+
+def test_evaluate_repeat_picks_best_view(monkeypatch):
+    data = generate_synthetic(classes=2, per_class=4, informative_views=2, noise_views=1, seed=0)
+    cfg = KmsaConfig(d=1, max_iters=1, ridge=1e-2)
+    halves = np.arange(0, 8, 2), np.arange(1, 8, 2)
+
+    accuracies = iter([0.4, 0.9, 0.6])
+    monkeypatch.setattr(kmsa.evaluation, "knn_classify", lambda *a, **k: next(accuracies))
+    _, best, _ = evaluate_repeat(data, cfg, "classification", *halves, None)
+    assert best == 1
+
+    maps = iter([0.2, 0.5, 0.5])
+    monkeypatch.setattr(kmsa.evaluation, "retrieval_metrics", lambda *a: {"map": next(maps)})
+    per_view, best, _ = evaluate_repeat(data, cfg, "retrieval", *halves, [1])
+    assert best == 1  # ties go to the lowest view
+    assert per_view == [{"map": 0.2}, {"map": 0.5}, {"map": 0.5}]
+
+
+def test_cli_import_does_not_load_scipy_spatial():
+    # every benchmark workload's setup time includes a fresh `import kmsa.cli`;
+    # scipy.spatial alone adds a few tenths of a second to it
+    env = dict(os.environ, PYTHONPATH=str(Path(kmsa.__file__).parents[1]))
+    code = "import sys, kmsa.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmsa import DimensionError, EvalError, knn_classify, retrieval_metrics
-from kmsa.evaluation import average_precision, build_report
+
+from oracles import average_precision, retrieval_reference
 
 
 class TestKnn:
@@ -59,8 +64,7 @@ class TestRetrieval:
     def test_single_relevant_item(self):
         queries = np.array([[0.0]])
         gallery = np.array([[0.1]])
-        rep = retrieval_metrics(queries, gallery, [0], [0], top_n=[1])
-        rec = rep.per_view[0]
+        rec = retrieval_metrics(queries, gallery, [0], [0], top_n=[1])
         assert rec["precision"] == [1.0]
         assert rec["recall"] == [1.0]
         assert rec["f1"] == [1.0]
@@ -70,8 +74,7 @@ class TestRetrieval:
         # the only same-class item sits at the far end of the ranking
         queries = np.array([[0.0]])
         gallery = np.array([[0.1, 0.2, 9.0]])
-        rep = retrieval_metrics(queries, gallery, [5], [1, 2, 5], top_n=[1, 2])
-        rec = rep.per_view[0]
+        rec = retrieval_metrics(queries, gallery, [5], [1, 2, 5], top_n=[1, 2])
         assert rec["precision"] == [0.0, 0.0]
         assert rec["recall"] == [0.0, 0.0]
         assert rec["f1"] == [0.0, 0.0]
@@ -80,8 +83,8 @@ class TestRetrieval:
         # gallery at distances 1,2,3,4; relevant at ranks 1 and 3
         queries = np.array([[0.0]])
         gallery = np.array([[1.0, 2.0, 3.0, 4.0]])
-        rep = retrieval_metrics(queries, gallery, [7], [7, 0, 7, 0], top_n=[4])
-        assert rep.per_view[0]["map"] == pytest.approx(5.0 / 6.0)
+        rec = retrieval_metrics(queries, gallery, [7], [7, 0, 7, 0], top_n=[4])
+        assert rec["map"] == pytest.approx(5.0 / 6.0)
 
     def test_full_scan_recall_is_one(self, rng):
         for _ in range(20):
@@ -93,8 +96,7 @@ class TestRetrieval:
             queries = rng.standard_normal((2, n_q))
             gallery = rng.standard_normal((2, n_g))
             cutoffs = sorted(set([1, max(1, n_g // 2), n_g]))
-            rep = retrieval_metrics(queries, gallery, q_labels, g_labels, cutoffs)
-            rec = rep.per_view[0]
+            rec = retrieval_metrics(queries, gallery, q_labels, g_labels, cutoffs)
             assert rec["recall"][-1] == pytest.approx(1.0)
             assert all(b >= a - 1e-12 for a, b in zip(rec["recall"], rec["recall"][1:]))
             assert 0.0 <= rec["map"] <= 1.0
@@ -110,8 +112,8 @@ class TestRetrieval:
         rep_p = retrieval_metrics(
             queries, gallery[:, perm], q_labels, g_labels[perm], [1, 4, 8]
         )
-        assert np.allclose(rep.per_view[0]["precision"], rep_p.per_view[0]["precision"])
-        assert rep.per_view[0]["map"] == pytest.approx(rep_p.per_view[0]["map"])
+        assert np.allclose(rep["precision"], rep_p["precision"])
+        assert rep["map"] == pytest.approx(rep_p["map"])
 
     def test_missing_class_raises(self):
         queries = np.array([[0.0]])
@@ -129,15 +131,48 @@ class TestRetrieval:
         # two gallery items at the same l1 distance: the lower index ranks first
         queries = np.array([[0.0], [0.0]])
         gallery = np.array([[1.0, -1.0], [0.0, 0.0]])
-        rep = retrieval_metrics(queries, gallery, [1], [0, 1], top_n=[1])
-        assert rep.per_view[0]["precision"] == [0.0]  # index 0 (class 0) wins the tie
+        rec = retrieval_metrics(queries, gallery, [1], [0, 1], top_n=[1])
+        assert rec["precision"] == [0.0]  # index 0 (class 0) wins the tie
 
 
-def test_build_report_picks_best_view():
-    rep = build_report(
-        "classification", [{"accuracy": 0.4}, {"accuracy": 0.9}, {"accuracy": 0.6}]
-    )
-    assert rep.best_view == 1
-    assert rep.task == "classification"
-    rep = build_report("retrieval", [{"map": 0.5}, {"map": 0.5}])
-    assert rep.best_view == 0  # ties to the lowest index
+@st.composite
+def retrieval_problems(draw):
+    """(queries, gallery, query labels, gallery labels, cutoffs). Integer-valued
+    embeddings put many gallery items at the same l1 distance; when absent is
+    drawn, one query's class has no gallery members."""
+    d = draw(st.integers(1, 5))
+    n_q = draw(st.integers(1, 10))
+    n_g = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        queries = rng.integers(-2, 3, size=(d, n_q)).astype(float)
+        gallery = rng.integers(-2, 3, size=(d, n_g)).astype(float)
+    else:
+        queries = rng.standard_normal((d, n_q))
+        gallery = rng.standard_normal((d, n_g))
+    g_labels = rng.integers(0, draw(st.integers(1, 3)), size=n_g)
+    q_labels = g_labels[rng.integers(0, n_g, size=n_q)]
+    if draw(st.booleans()):
+        q_labels[rng.integers(n_q)] = g_labels.max() + 1
+    cutoffs = sorted(set(draw(st.lists(st.integers(1, n_g), min_size=1, max_size=4))))
+    return queries, gallery, q_labels, g_labels, cutoffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(retrieval_problems())
+@example((np.array([[0.0]]), np.array([[1.0]]), np.array([0]), np.array([0]), [1]))
+@example((np.array([[1.0, 0.0]]), np.array([[0.0]]), np.array([1, 1]), np.array([1]), [1]))
+@example(
+    (np.zeros((2, 1)), np.zeros((2, 6)), np.array([1]), np.array([0, 1, 0, 1, 1, 0]), [1, 3, 6])
+)
+def test_ranking_matches_per_query_reference(problem):
+    try:
+        want = retrieval_reference(*problem)
+    except EvalError as exc:
+        with pytest.raises(EvalError, match=re.escape(str(exc))):
+            retrieval_metrics(*problem)
+        return
+    got = retrieval_metrics(*problem)
+    assert got["cutoffs"] == want["cutoffs"]
+    for key in ("precision", "recall", "f1", "map"):
+        assert np.allclose(got[key], want[key], rtol=0.0, atol=1e-12), key

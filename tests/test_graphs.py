@@ -302,7 +302,7 @@ class TestSppGraph:
         assert pair.notes  # at least one column cannot finish in one sweep
         _, converged = sparse_codes(X, 1e-6, 1)
         assert pair.notes == tuple(
-            f"lasso column {i} hit max_iters=1 before tol"
+            f"lasso column {i} hit the 1-step homotopy cap before lasso_lambda"
             for i in np.flatnonzero(~converged)
         )
 

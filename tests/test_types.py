@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmsa import (
     ConfigError,
@@ -9,6 +13,7 @@ from kmsa import (
     MultiviewDataset,
     validate_config,
 )
+from kmsa.types import GRAPH_KINDS, KERNEL_KINDS, MEDIAN
 
 from conftest import random_dataset
 
@@ -176,3 +181,145 @@ def test_dataset_subset_keeps_alignment(rng):
     assert sub.n_samples == 3
     assert np.array_equal(sub.views[0], data.views[0][:, [1, 3, 5]])
     assert np.array_equal(sub.labels, data.labels[[1, 3, 5]])
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+float_or_median = st.one_of(finite, st.just(MEDIAN))
+kernel_specs = st.builds(
+    KernelSpec,
+    kind=st.sampled_from(KERNEL_KINDS),
+    bandwidth=float_or_median,
+    degree=st.integers(-3, 6),
+    offset=finite,
+)
+graph_recipes = st.builds(
+    GraphRecipe,
+    kind=st.sampled_from(GRAPH_KINDS),
+    k=st.integers(-2, 50),
+    heat=float_or_median,
+    lasso_lambda=finite,
+    lasso_max_iters=st.integers(0, 1000),
+)
+
+
+def one_or_per_view(specs):
+    return st.one_of(specs, st.lists(specs, min_size=1, max_size=4).map(tuple))
+
+
+configs = st.builds(
+    KmsaConfig,
+    d=st.integers(-5, 500),
+    r=finite,
+    kappa=finite,
+    eta=finite,
+    kernel=one_or_per_view(kernel_specs),
+    graph=one_or_per_view(graph_recipes),
+    max_iters=st.integers(-1, 100),
+    tol=finite,
+    ridge=finite,
+    center_kernel=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs)
+def test_config_json_round_trip(cfg):
+    again = KmsaConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+
+
+def test_to_dict_writes_every_field():
+    cfg = KmsaConfig(d=2, kernel=KernelSpec(kind="linear"), graph=GraphRecipe(kind="pca"))
+    doc = cfg.to_dict()
+    assert set(doc) == set(KmsaConfig.__dataclass_fields__)
+    assert doc["kernel"] == {"kind": "linear", "bandwidth": MEDIAN, "degree": 2, "offset": 1.0}
+    assert doc["graph"] == {
+        "kind": "pca", "k": 5, "heat": MEDIAN, "lasso_lambda": 0.1, "lasso_max_iters": 500,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ({"d": 3, "kapa": 0.5}, "unknown_key"),
+        ({"d": 3, "kernel": {"kind": "gaussian", "sigma": 1.0}}, "unknown_key"),
+        ({"d": 3, "graph": [{"kind": "lpp"}, {"kind": "pca", "neighbours": 3}]}, "unknown_key"),
+        ({"d": 3, "center_kernel": "false"}, "bad_type"),
+        ({"d": 3, "center_kernel": 0}, "bad_type"),
+        ({"d": 3.9}, "bad_type"),
+        ({"d": True}, "bad_type"),
+        ({"d": "3"}, "bad_type"),
+        ({"d": 3, "max_iters": True}, "bad_type"),
+        ({"d": 3, "seed": 1.5}, "bad_type"),
+        ({"d": 3, "kappa": "0.5"}, "bad_type"),
+        ({"d": 3, "r": False}, "bad_type"),
+        ({"d": 3, "ridge": None}, "bad_type"),
+        ({"d": 3, "graph": {"kind": "lpp", "k": "5"}}, "bad_type"),
+        ({"d": 3, "graph": {"kind": "lpp", "heat": True}}, "bad_type"),
+        ({"d": 3, "graph": [{"kind": "spp", "lasso_max_iters": 2.5}]}, "bad_type"),
+        ({"d": 3, "kernel": {"kind": 1}}, "bad_type"),
+        ({"d": 3, "kernel": {"bandwidth": [1.0]}}, "bad_type"),
+        ({"d": 3, "kernel": "gaussian"}, "bad_type"),
+        ({"d": 3, "graph": [{"kind": "pca"}, 5]}, "bad_type"),
+        ({"r": 2.0}, "missing_d"),
+        (None, "bad_type"),
+        ([{"d": 3}], "bad_type"),
+    ],
+)
+def test_from_dict_rejects_bad_documents(doc, code):
+    with pytest.raises(ConfigError) as exc:
+        KmsaConfig.from_dict(doc)
+    assert exc.value.code == code
+
+
+def test_from_dict_converts_numbers_to_field_types():
+    cfg = KmsaConfig.from_dict(
+        {"d": 3.0, "r": 2, "kernel": {"bandwidth": 2}, "graph": {"kind": "lpp", "heat": "auto"}}
+    )
+    assert cfg.d == 3 and isinstance(cfg.d, int)
+    assert cfg.r == 2.0 and isinstance(cfg.r, float)
+    assert cfg.kernel.bandwidth == 2.0 and isinstance(cfg.kernel.bandwidth, float)
+    assert cfg.graph.heat == "auto"  # a string is left for validate_config to judge
+
+
+def test_earlier_manifest_dicts_still_load():
+    # config and kernels exactly as model format 2 wrote them when to_dict
+    # kept only each kind's own fields
+    config = {
+        "center_kernel": False, "d": 2, "eta": -5.0,
+        "graph": [
+            {"heat": 2.0, "k": 3, "kind": "lpp"},
+            {"kind": "spp", "lasso_lambda": 0.05, "lasso_max_iters": 100},
+        ],
+        "kappa": 0.5,
+        "kernel": [
+            {"bandwidth": "median", "kind": "gaussian"},
+            {"degree": 3, "kind": "polynomial", "offset": 0.5},
+        ],
+        "max_iters": 2, "r": 3.0, "ridge": 0.1, "seed": 0, "tol": 1e-06,
+    }
+    kernels = [
+        {"bandwidth": 5.129776716251439, "kind": "gaussian"},
+        {"degree": 3, "kind": "polynomial", "offset": 0.5},
+    ]
+    assert KmsaConfig.from_dict(config) == KmsaConfig(
+        d=2, kappa=0.5, eta=-5.0, ridge=0.1, max_iters=2,
+        kernel=(KernelSpec(), KernelSpec(kind="polynomial", degree=3, offset=0.5)),
+        graph=(
+            GraphRecipe(kind="lpp", k=3, heat=2.0),
+            GraphRecipe(kind="spp", lasso_lambda=0.05, lasso_max_iters=100),
+        ),
+    )
+    assert [KernelSpec.from_dict(k) for k in kernels] == [
+        KernelSpec(bandwidth=5.129776716251439),
+        KernelSpec(kind="polynomial", degree=3, offset=0.5),
+    ]
+    single = {
+        "d": 4, "r": 3.0, "kappa": 0.1, "eta": -1.0, "kernel": {"kind": "linear"},
+        "graph": {"kind": "lda"}, "max_iters": 30, "tol": 1e-06, "ridge": 1e-08,
+        "center_kernel": True, "seed": 0,
+    }
+    assert KmsaConfig.from_dict(single) == KmsaConfig(
+        d=4, kernel=KernelSpec(kind="linear"), graph=GraphRecipe(kind="lda"), center_kernel=True
+    )
