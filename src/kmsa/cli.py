@@ -9,7 +9,6 @@ deterministic given --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -48,18 +47,7 @@ class Parser(argparse.ArgumentParser):
 def load_config_file(path, recipe=None) -> KmsaConfig:
     """The JSON config at path; recipe, when given, replaces every view's
     graph kind."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read config {p}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{p}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise FormatError(f"{p}: config must be a JSON object")
-    cfg = KmsaConfig.from_dict(raw)
+    cfg = KmsaConfig.from_dict(data_io.read_json_object(path))
     return cfg.with_graph_kind(recipe) if recipe else cfg
 
 
@@ -186,29 +174,31 @@ def cmd_eval(args) -> int:
         raise ConfigError("repeats_range", "--repeats must be >= 1")
     task = "classification" if args.task == "classify" else "retrieval"
 
-    n = data.n_samples
-    repeats = []
+    splits = [
+        split_indices(data.n_samples, args.train_frac, np.random.default_rng(args.seed + i))
+        for i in range(args.repeats)
+    ]
     cutoffs = None
-    for i in range(args.repeats):
-        rng = np.random.default_rng(args.seed + i)
-        train_idx, test_idx = split_indices(n, args.train_frac, rng)
-        if cutoffs is None and task == "retrieval":
-            gallery_size = len(train_idx)
-            if args.top_n:
-                try:
-                    cutoffs = [int(x) for x in args.top_n.split(",")]
-                except ValueError:
-                    raise ConfigError(
-                        "top_n_format",
-                        f"--top-n must be comma-separated integers, got {args.top_n!r}",
-                    ) from None
-                if any(c < 1 or c > gallery_size for c in cutoffs):
-                    raise ConfigError(
-                        "top_n_range",
-                        f"--top-n entries must lie in [1, {gallery_size}]",
-                    )
-            else:
-                cutoffs = sorted({min(c, gallery_size) for c in (1, 5, 10)})
+    if task == "retrieval":
+        gallery_size = len(splits[0][0])  # every split has the same size
+        if args.top_n:
+            try:
+                cutoffs = [int(x) for x in args.top_n.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    "top_n_format",
+                    f"--top-n must be comma-separated integers, got {args.top_n!r}",
+                ) from None
+            if any(c < 1 or c > gallery_size for c in cutoffs):
+                raise ConfigError(
+                    "top_n_range",
+                    f"--top-n entries must lie in [1, {gallery_size}]",
+                )
+        else:
+            cutoffs = sorted({min(c, gallery_size) for c in (1, 5, 10)})
+
+    repeats = []
+    for i, (train_idx, test_idx) in enumerate(splits):
         per_view, best, model = evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs)
         repeats.append(
             {

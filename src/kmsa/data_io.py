@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IoError, VersionError
-from .types import KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
+from .errors import ConfigError, FormatError, IoError, VersionError
+from .types import KERNEL_KINDS, KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
 
 FORMAT_VERSION = 2
 
@@ -101,7 +101,6 @@ def load_dataset(dir_path) -> MultiviewDataset:
         raise IoError(f"no view_<k>.csv files in {dir_path}")
     found.sort()
     views = []
-    names = []
     n_ref, ref_name = None, None
     for _, p in found:
         A = read_matrix_csv(p)
@@ -112,7 +111,6 @@ def load_dataset(dir_path) -> MultiviewDataset:
                 f"{p.name} has {A.shape[0]} samples but {ref_name} has {n_ref}"
             )
         views.append(A.T)
-        names.append(p.stem)
     labels = None
     labels_path = dir_path / "labels.csv"
     if labels_path.exists():
@@ -124,7 +122,7 @@ def load_dataset(dir_path) -> MultiviewDataset:
         labels = raw.astype(int)
         if not np.array_equal(labels, raw):
             raise FormatError("labels.csv must contain integers")
-    return MultiviewDataset(views=views, labels=labels, view_names=names)
+    return MultiviewDataset(views=views, labels=labels)
 
 
 def save_dataset(data: MultiviewDataset, dir_path) -> None:
@@ -165,17 +163,14 @@ def generate_synthetic(
     labels = np.repeat(np.arange(classes), per_class)
     latent = centers[:, labels] + 0.5 * rng.standard_normal((latent_dim, n))
     views = []
-    names = []
     for v in range(informative_views):
         dim = latent_dim + 2 + v
         lin = rng.standard_normal((dim, latent_dim)) / np.sqrt(latent_dim)
         views.append(lin @ latent + 0.3 * noise_scale * rng.standard_normal((dim, n)))
-        names.append(f"informative_{v + 1}")
     for v in range(noise_views):
         dim = latent_dim + 2 + informative_views + v
         views.append(noise_scale * rng.standard_normal((dim, n)))
-        names.append(f"noise_{v + 1}")
-    return MultiviewDataset(views=views, labels=labels, view_names=names)
+    return MultiviewDataset(views=views, labels=labels)
 
 
 def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = None) -> None:
@@ -207,30 +202,35 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
 
 
 def load_model(path) -> KmsaModel:
-    """Reload a model directory written by save_model."""
+    """Reload a model directory written by save_model. A manifest with a
+    missing, mistyped or invalid entry raises FormatError."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise IoError(f"no manifest.json in {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json_object(manifest_path)
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(
             f"model format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
-    views = range(1, int(manifest["n_views"]) + 1)
-    return KmsaModel(
-        coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
-        alpha=np.array([float(a) for a in manifest["alpha"]]),
-        objective_trace=tuple(float(g) for g in manifest["objective_trace"]),
-        embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
-        config=KmsaConfig.from_dict(manifest["config"]),
-        kernels=tuple(KernelSpec.from_dict(k) for k in manifest["kernels"]),
-        log=tuple(manifest.get("log", [])),
-    )
+    try:
+        views = range(1, int(manifest["n_views"]) + 1)
+        kernels = tuple(KernelSpec.from_dict(k) for k in manifest["kernels"])
+        for spec in kernels:
+            if spec.kind not in KERNEL_KINDS:
+                raise FormatError(f"{manifest_path}: unknown kernel kind {spec.kind!r}")
+        return KmsaModel(
+            coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
+            alpha=np.array([float(a) for a in manifest["alpha"]]),
+            objective_trace=tuple(float(g) for g in manifest["objective_trace"]),
+            embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
+            config=KmsaConfig.from_dict(manifest["config"]),
+            kernels=kernels,
+            log=tuple(manifest.get("log", [])),
+        )
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
 
 
 def load_training_data(model_path) -> MultiviewDataset:
@@ -245,13 +245,22 @@ def save_report(report: dict, path) -> None:
     )
 
 
-def load_report(path) -> dict:
+def read_json_object(path) -> dict:
+    """The JSON object in the file at path. Raises IoError when the file cannot
+    be read, FormatError when it is not JSON or not an object."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_report(path) -> dict:
+    return read_json_object(path)

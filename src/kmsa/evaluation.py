@@ -18,7 +18,6 @@ def knn_classify(
     train_labels,
     test: np.ndarray,
     test_labels,
-    k: int = 1,
 ) -> float:
     """Fraction of test columns whose nearest training column shares their label."""
     train = np.asarray(train, dtype=float)
@@ -38,15 +37,8 @@ def knn_classify(
         + np.sum(test * test, axis=0)[None, :]
         - 2.0 * (train.T @ test)
     )
-    if k == 1:
-        nearest = np.argmin(sq, axis=0)  # argmin keeps the lowest index on ties
-        predicted = train_labels[nearest]
-    else:
-        order = np.argsort(sq, axis=0, kind="stable")[:k]
-        predicted = np.empty(test.shape[1], dtype=train_labels.dtype)
-        for j in range(test.shape[1]):
-            votes = np.bincount(train_labels[order[:, j]])
-            predicted[j] = int(np.argmax(votes))
+    nearest = np.argmin(sq, axis=0)  # argmin keeps the lowest index on ties
+    predicted = train_labels[nearest]
     return float(np.mean(predicted == test_labels))
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigsolver import cholesky_factor
 from .errors import ConvergenceWarning, GraphError
 from .kernels import median_heuristic_bandwidth, pairwise_sq_dists
 from .types import MEDIAN, GraphRecipe
@@ -21,13 +20,12 @@ from .types import MEDIAN, GraphRecipe
 
 @dataclass(frozen=True)
 class GraphPair:
-    """Similarity S, constraint factor B, and whether the kernelized
-    constraint is K B K (uses_kbk) or K itself. notes carries non-fatal
-    construction diagnostics (e.g. lasso paths that hit the step cap)."""
+    """Similarity S and constraint factor B: the kernelized constraint is
+    K B K, or K itself when B is None. notes carries non-fatal construction
+    diagnostics (e.g. lasso paths that hit the step cap)."""
 
     S: np.ndarray
-    B: np.ndarray
-    uses_kbk: bool
+    B: np.ndarray | None
     notes: tuple = ()
 
 
@@ -37,7 +35,7 @@ def pca_graph(n: int) -> GraphPair:
         raise GraphError(f"need at least 2 samples, got {n}")
     S = np.full((n, n), -1.0 / n)
     np.fill_diagonal(S, 0.0)
-    return GraphPair(S=S, B=np.eye(n), uses_kbk=False)
+    return GraphPair(S=S, B=None)
 
 
 def lpp_graph(X: np.ndarray, k: int, heat) -> GraphPair:
@@ -60,7 +58,7 @@ def lpp_graph(X: np.ndarray, k: int, heat) -> GraphPair:
     adj |= adj.T  # the OR rule keeps the graph symmetric
     S = np.where(adj, np.exp(-sq / t), 0.0)
     np.fill_diagonal(S, 0.0)
-    return GraphPair(S=S, B=np.diag(S.sum(axis=1)), uses_kbk=True)
+    return GraphPair(S=S, B=np.diag(S.sum(axis=1)))
 
 
 def lda_graph(labels) -> GraphPair:
@@ -85,7 +83,7 @@ def lda_graph(labels) -> GraphPair:
     S = 0.5 * (S + S.T)
     np.fill_diagonal(S, 0.0)
     B = np.eye(n) - np.full((n, n), 1.0 / n)
-    return GraphPair(S=S, B=B, uses_kbk=True)
+    return GraphPair(S=S, B=B)
 
 
 SIDES = np.array([[1.0], [-1.0]])  # the two boundaries, +level and -level
@@ -177,7 +175,7 @@ def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
         warnings.warn(message, ConvergenceWarning, stacklevel=2)
     S = M + M.T + M.T @ M
     np.fill_diagonal(S, 0.0)
-    return GraphPair(S=S, B=np.eye(n), uses_kbk=False, notes=notes)
+    return GraphPair(S=S, B=None, notes=notes)
 
 
 def laplacian(S: np.ndarray) -> np.ndarray:
@@ -186,22 +184,19 @@ def laplacian(S: np.ndarray) -> np.ndarray:
     return np.diag(S.sum(axis=1)) - S
 
 
-def constraint_matrix(K: np.ndarray, pair: GraphPair, ridge: float):
-    """Ridged constraint M = (K B K or K) + ridge * (trace/N) * I, symmetrized,
-    and its lower Cholesky factor L (M = L L^T); returns (M, L).
+def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
+    """Ridged constraint M = (K B K, or K when B is None), symmetrized, plus
+    ridge * (trace/N) * I.
 
     The trace-scaled ridge keeps the generalized eigenproblem definite without
-    distorting well-conditioned cases. The factorization doubles as the
-    definiteness check: raises NumericError if it fails (degenerate kernel;
-    raise the ridge).
+    distorting well-conditioned cases. M is not checked here: its Cholesky
+    factorization (eigsolver.cholesky_factor) is the definiteness check.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    M = K @ pair.B @ K if pair.uses_kbk else K
+    M = K if B is None else K @ B @ K
     M = 0.5 * (M + M.T)
-    M_ridge = M + ridge * (np.trace(M) / n) * np.eye(n)
-    M_ridge = 0.5 * (M_ridge + M_ridge.T)
-    return M_ridge, cholesky_factor(M_ridge)
+    return M + ridge * (np.trace(M) / n) * np.eye(n)
 
 
 def build_graph(X: np.ndarray, labels, recipe: GraphRecipe) -> GraphPair:

@@ -20,12 +20,12 @@ are clamped to a tiny floor and the event is recorded in the model log
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .eigsolver import solve_whitened, whiten
+from .eigsolver import cholesky_factor, solve_whitened, whiten
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
 from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
@@ -37,50 +37,39 @@ TRACE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ViewState:
-    """Per-view fit-time matrices: kernel K, lower Cholesky factor L of the
+    """Per-view constants of a fit: kernel K, lower Cholesky factor L of the
     ridged constraint M = L L^T, whitened graph quadratic A = L^{-1} K P K L^{-T}
-    and kpk_sq = ||K P K||_F^2 (constants of the fit; K P K = L A L^T and M are
-    not kept), and coefficient matrix U (N x d, M-orthonormal columns)."""
+    and kpk_sq = ||K P K||_F^2 (K P K = L A L^T and M are not kept)."""
 
     K: np.ndarray
     L: np.ndarray
     A: np.ndarray
     kpk_sq: float
-    U: np.ndarray
 
 
-def view_state(K, KPK, L, U) -> ViewState:
+def view_state(K, KPK, L) -> ViewState:
     """Whiten a view's symmetric graph quadratic KPK by its constraint factor L."""
-    return ViewState(K=K, L=L, A=whiten(L, KPK), kpk_sq=float(np.sum(KPK * KPK)), U=U)
+    return ViewState(K=K, L=L, A=whiten(L, KPK), kpk_sq=float(np.sum(KPK * KPK)))
 
 
-@dataclass
-class OptState:
-    """Mutable optimizer state: per-view matrices, simplex weights, and the
-    recorded objective values."""
-
-    states: list
-    alpha: np.ndarray
-    objective_trace: list
-
-
-def _trace_parts(states) -> tuple:
+def trace_parts(views, Us) -> tuple:
     """Per-view tr(U_v^T K P K_v U_v) = tr(Y^T A_v Y) with Y = L_v^T U_v, and
     the symmetric matrix of pairwise ||U_w^T U_v||_F^2 (zero diagonal)."""
-    m = len(states)
+    m = len(views)
     embed = np.zeros(m)
-    for v, vs in enumerate(states):
-        Y = vs.L.T @ vs.U
+    for v, (vs, U) in enumerate(zip(views, Us)):
+        Y = vs.L.T @ U
         embed[v] = np.sum(Y * (vs.A @ Y))
     cross = np.zeros((m, m))
     for v in range(m):
         for w in range(v + 1, m):
-            C = states[w].U.T @ states[v].U
+            C = Us[w].T @ Us[v]
             cross[v, w] = cross[w, v] = float(np.sum(C * C))
     return embed, cross
 
 
-def _terms(embed, cross, alpha: np.ndarray, cfg: KmsaConfig) -> dict:
+def objective_terms(embed, cross, alpha: np.ndarray, cfg: KmsaConfig) -> dict:
+    """The three objective components, from the trace parts and the weights."""
     a_r = alpha ** cfg.r
     m = len(embed)
     align = sum(
@@ -95,13 +84,8 @@ def _terms(embed, cross, alpha: np.ndarray, cfg: KmsaConfig) -> dict:
     }
 
 
-def objective_terms(state: OptState, cfg: KmsaConfig) -> dict:
-    """The three objective components, computed independently."""
-    return _terms(*_trace_parts(state.states), state.alpha, cfg)
-
-
-def objective(state: OptState, cfg: KmsaConfig) -> float:
-    return sum(objective_terms(state, cfg).values())
+def objective(embed, cross, alpha: np.ndarray, cfg: KmsaConfig) -> float:
+    return sum(objective_terms(embed, cross, alpha, cfg).values())
 
 
 def gram_divergence(U_i: np.ndarray, U_j: np.ndarray) -> float:
@@ -127,16 +111,16 @@ def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
     return c
 
 
-def update_view(state: OptState, v: int, cfg: KmsaConfig) -> np.ndarray:
+def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
     """New coefficient matrix for view v: the d smallest generalized
     eigenvectors of (H_v, M_v), from the view's cached factor and whitened
     quadratic with O(N^2 d) work besides the subset eigensolve. The residual
     check applies H_v in factored form, with ||H_v||_F^2 expanded from kpk_sq
     and d x d cross-Grams."""
-    vs = state.states[v]
+    vs = views[v]
     L, A = vs.L, vs.A
-    W = np.hstack([s.U for s in state.states])
-    c = np.repeat(_coupling(state.alpha, v, cfg), cfg.d)
+    W = np.hstack(Us)
+    c = np.repeat(_coupling(alpha, v, cfg), cfg.d)
     Z = sla.solve_triangular(L, W, lower=True)
     Y, G = L.T @ W, W.T @ W
     h_sq = vs.kpk_sq + 2.0 * c @ np.sum(Y * (A @ Y), axis=0) + c @ (G * G) @ c
@@ -148,16 +132,12 @@ def update_view(state: OptState, v: int, cfg: KmsaConfig) -> np.ndarray:
     return U
 
 
-def view_trace_terms(state: OptState, cfg: KmsaConfig) -> np.ndarray:
+def view_trace_terms(embed, cross, Us, cfg: KmsaConfig) -> np.ndarray:
     """Per-view weight-update traces
     tr(U_v^T K P K U_v) + (r kappa / N) ||U_v||_F^2
-    + sum_{w != v} ||U_w^T U_v||_F^2 / (2 eta)."""
-    return _weight_traces(*_trace_parts(state.states), state.states, cfg)
-
-
-def _weight_traces(embed, cross, states, cfg: KmsaConfig) -> np.ndarray:
-    n = states[0].K.shape[0]
-    norms = np.array([float(np.sum(vs.U * vs.U)) for vs in states])
+    + sum_{w != v} ||U_w^T U_v||_F^2 / (2 eta), from the trace parts."""
+    n = Us[0].shape[0]
+    norms = np.array([float(np.sum(U * U)) for U in Us])
     return embed + (cfg.r * cfg.kappa / n) * norms + cross.sum(axis=1) / (2.0 * cfg.eta)
 
 
@@ -188,16 +168,16 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
         resolve_kernel_spec(X, spec)
         for X, spec in zip(data.views, cfg.kernels_for(m))
     ]
-    states = []
+    views = []
     notes = []
     for X, spec, recipe in zip(data.views, specs, cfg.graphs_for(m)):
         K = build_kernel(X, spec, center=cfg.center_kernel)
         pair = build_graph(X, data.labels, recipe)
         notes.extend(pair.notes)
         KPK = K @ laplacian(pair.S) @ K
-        _, L = constraint_matrix(K, pair, cfg.ridge)
-        states.append(view_state(K, 0.5 * (KPK + KPK.T), L, np.zeros((K.shape[0], cfg.d))))
-    return states, tuple(specs), notes
+        L = cholesky_factor(constraint_matrix(K, pair.B, cfg.ridge))
+        views.append(view_state(K, 0.5 * (KPK + KPK.T), L))
+    return views, tuple(specs), notes
 
 
 def fit(
@@ -213,39 +193,39 @@ def fit(
     is the ablation baseline.
     """
     validate_config(cfg, data)
-    states, specs, log = _prepare_views(data, cfg)
+    views, specs, log = _prepare_views(data, cfg)
     m = data.n_views
 
-    state = OptState(states=states, alpha=np.full(m, 1.0 / m), objective_trace=[])
+    alpha = np.full(m, 1.0 / m)
+    Us = [np.zeros((data.n_samples, cfg.d)) for _ in range(m)]
     # every U_v is still 0, so these first updates carry no coupling term
-    state.states = [replace(vs, U=update_view(state, v, cfg)) for v, vs in enumerate(states)]
-    state.objective_trace.append(objective(state, cfg))
+    Us = [update_view(views, Us, alpha, v, cfg) for v in range(m)]
+    trace = [objective(*trace_parts(views, Us), alpha, cfg)]
 
     warned_clamp = False
     for sweep in range(1, cfg.max_iters + 1):
         for v in range(m):
-            state.states[v] = replace(state.states[v], U=update_view(state, v, cfg))
+            Us[v] = update_view(views, Us, alpha, v, cfg)
         # independent of alpha: serves the weight step and the objective
-        parts = _trace_parts(state.states)
+        embed, cross = trace_parts(views, Us)
         if learn_weights:
-            traces = _weight_traces(*parts, state.states, cfg)
+            traces = view_trace_terms(embed, cross, Us, cfg)
             alpha, clamped = closed_form_weights(traces, cfg.r)
             if clamped.any():
-                views = np.nonzero(clamped)[0].tolist()
-                log.append(f"sweep {sweep}: clamped non-positive traces for views {views}")
+                which = np.nonzero(clamped)[0].tolist()
+                log.append(f"sweep {sweep}: clamped non-positive traces for views {which}")
                 if not warned_clamp:
                     warned_clamp = True
                     warnings.warn(
                         f"sweep {sweep}: clamped non-positive trace terms for views "
-                        f"{views} (weights of clamped views coincide)",
+                        f"{which} (weights of clamped views coincide)",
                         WeightDomainWarning,
                         stacklevel=2,
                     )
-            state.alpha = alpha
 
-        prev = state.objective_trace[-1]
-        value = sum(_terms(*parts, state.alpha, cfg).values())
-        state.objective_trace.append(value)
+        prev = trace[-1]
+        value = objective(embed, cross, alpha, cfg)
+        trace.append(value)
         if value > prev + MONOTONE_SLACK * (1.0 + abs(prev)):
             log.append(f"sweep {sweep}: objective rose from {prev!r} to {value!r}")
             warnings.warn(
@@ -257,12 +237,11 @@ def fit(
         if abs(value - prev) <= cfg.tol * (1.0 + abs(prev)):
             break
 
-    embeddings = tuple(vs.U.T @ vs.K for vs in state.states)
     return KmsaModel(
-        coefficients=tuple(vs.U for vs in state.states),
-        alpha=state.alpha,
-        objective_trace=tuple(state.objective_trace),
-        embeddings=embeddings,
+        coefficients=tuple(Us),
+        alpha=alpha,
+        objective_trace=tuple(trace),
+        embeddings=tuple(U.T @ vs.K for vs, U in zip(views, Us)),
         config=cfg,
         kernels=specs,
         log=tuple(log),

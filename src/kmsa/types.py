@@ -125,9 +125,8 @@ class MultiviewDataset:
 
     views: tuple
     labels: Optional[np.ndarray] = None
-    view_names: Optional[tuple] = None
 
-    def __init__(self, views, labels=None, view_names=None):
+    def __init__(self, views, labels=None):
         object.__setattr__(
             self, "views", tuple(np.asarray(v, dtype=float) for v in views)
         )
@@ -135,9 +134,6 @@ class MultiviewDataset:
             self,
             "labels",
             None if labels is None else np.asarray(labels, dtype=int),
-        )
-        object.__setattr__(
-            self, "view_names", None if view_names is None else tuple(view_names)
         )
 
     @property
@@ -157,7 +153,6 @@ class MultiviewDataset:
         return MultiviewDataset(
             views=[v[:, idx] for v in self.views],
             labels=None if self.labels is None else self.labels[idx],
-            view_names=self.view_names,
         )
 
 

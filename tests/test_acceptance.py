@@ -148,7 +148,7 @@ def test_05_kernel_pca_reduction():
         from kmsa.kernels import build_kernel
 
         K_centered = build_kernel(X, KernelSpec(kind="linear"), center=True)
-        M, _ = constraint_matrix(K_centered, build_graph(X, None, cfg.graph), cfg.ridge)
+        M = constraint_matrix(K_centered, build_graph(X, None, cfg.graph).B, cfg.ridge)
         U = model.coefficients[0]
         projector = U @ U.T @ M
         _, Q = kpca_oracle(K_centered, 3)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import kmsa
-from kmsa import KmsaConfig, generate_synthetic
-from kmsa.cli import evaluate_repeat, main
+from kmsa import ConfigError, KmsaConfig, generate_synthetic
+from kmsa.cli import build_parser, cmd_eval, evaluate_repeat, main
 from kmsa.data_io import load_dataset, load_report, read_matrix_csv
 
 
@@ -37,6 +38,19 @@ def synth_dir(tmp_path, capsys):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def fitted_model(tmp_path_factory):
+    """A dataset and the model directory `kmsa fit` writes for it, shared by
+    tests that copy the model before editing it."""
+    root = tmp_path_factory.mktemp("fitted")
+    assert main(["synth", "--out", str(root / "data"), "--per-class", "8",
+                 "--informative-views", "2", "--noise-views", "1"]) == 0
+    cfg = write_config(root)
+    assert main(["fit", "--data", str(root / "data"), "--out", str(root / "run"),
+                 "--config", str(cfg)]) == 0
+    return root
 
 
 class TestSynth:
@@ -206,6 +220,34 @@ class TestTransform:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "alpha"}, id="no-alpha"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "kernels"},
+                     id="no-kernels"),
+        pytest.param(lambda doc: [doc], id="top-level-list"),
+        pytest.param(lambda doc: {**doc, "n_views": "two"}, id="n-views-string"),
+        pytest.param(lambda doc: {**doc, "alpha": ["x"] + doc["alpha"][1:]}, id="alpha-entry"),
+        pytest.param(
+            lambda doc: {**doc, "kernels": [{**doc["kernels"][0], "kind": "bogus"}]},
+            id="kernel-kind",
+        ),
+        pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kapa": 0.5}},
+                     id="unknown-config-key"),
+    ])
+    def test_malformed_manifest_exits_two(self, fitted_model, tmp_path, capsys, edit):
+        model = tmp_path / "model"
+        shutil.copytree(fitted_model / "run" / "model", model)
+        manifest_path = model / "manifest.json"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        code, _, err = run(
+            capsys, "transform", "--model", str(model),
+            "--data", str(fitted_model / "data"), "--out", str(tmp_path / "t"),
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "manifest.json" in lines[0]
+
 
 class TestEval:
     def test_classify_deterministic_bytes(self, synth_dir, tmp_path, capsys):
@@ -263,6 +305,41 @@ class TestEval:
         )
         assert code == 1
         assert "--top-n" in err
+
+    def test_top_n_sets_every_cutoff_list(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "eval", "--task", "retrieve", "--data", str(synth_dir),
+            "--config", str(cfg), "--out", str(path),
+            "--repeats", "2", "--seed", "3", "--top-n", "1,3",
+        )
+        assert code == 0
+        doc = load_report(path)
+        assert doc["mean"]["cutoffs"] == [1, 3]
+        for key in ("precision", "recall", "f1"):
+            assert len(doc["mean"][f"best_{key}"]) == 2
+            for rep in doc["per_repeat"]:
+                assert all(len(view[key]) == 2 for view in rep["views"])
+
+    def test_out_of_range_top_n_exits_one_before_any_fit(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before --top-n was checked")
+
+        monkeypatch.setattr(kmsa.optimizer, "fit", no_fit)
+        argv = [
+            "eval", "--task", "retrieve", "--data", str(synth_dir),
+            "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "x.json"),
+            "--repeats", "2", "--top-n", "1,13",  # the gallery holds 12 of 24 samples
+        ]
+        with pytest.raises(ConfigError) as exc:
+            cmd_eval(build_parser().parse_args(argv))
+        assert exc.value.code == "top_n_range"
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "--top-n entries must lie in [1, 12]" in err
 
     def test_bad_train_frac_exits_one(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmsa import GraphError, KernelSpec, NumericError, build_kernel
+from kmsa.eigsolver import cholesky_factor
 from kmsa.graphs import (
-    GraphPair,
     constraint_matrix,
     laplacian,
     lda_graph,
@@ -68,7 +68,7 @@ class TestPcaGraph:
     def test_constraint_is_kernel_itself(self, rng):
         X = rng.standard_normal((3, 6))
         K = build_kernel(X, KernelSpec())
-        M, _ = constraint_matrix(K, pca_graph(6), ridge=0.0)
+        M = constraint_matrix(K, pca_graph(6).B, ridge=0.0)
         assert np.allclose(M, K)
 
 
@@ -95,7 +95,7 @@ class TestLppGraph:
     def test_degree_matrix(self, rng):
         X = rng.standard_normal((3, 8))
         pair = lpp_graph(X, k=2, heat="median")
-        assert pair.uses_kbk
+        assert pair.B is not None
         assert np.allclose(np.diag(pair.B), pair.S.sum(axis=1))
 
     def test_laplacian_positive_semidefinite(self, rng):
@@ -151,7 +151,7 @@ class TestLdaGraph:
 
     def test_centering_constraint_factor(self):
         pair = lda_graph([0, 1])
-        assert pair.uses_kbk
+        assert pair.B is not None
         assert np.allclose(pair.B, np.eye(2) - np.full((2, 2), 0.5))
 
     def test_missing_class_id(self):
@@ -291,7 +291,7 @@ class TestSppGraph:
     def test_constraint_is_kernel(self, rng):
         X = rng.standard_normal((2, 5))
         pair = spp_graph(X, lam=1.0, max_iters=50)
-        assert not pair.uses_kbk
+        assert pair.B is None
 
     def test_iteration_cap_noted(self, rng):
         from kmsa import ConvergenceWarning
@@ -336,24 +336,22 @@ class TestLaplacianAndConstraint:
     def test_kbk_with_identity_b_squares_kernel(self, rng):
         X = rng.standard_normal((3, 5))
         K = build_kernel(X, KernelSpec())
-        pair = GraphPair(S=np.zeros((5, 5)), B=np.eye(5), uses_kbk=True)
-        M, _ = constraint_matrix(K, pair, ridge=0.0)
+        M = constraint_matrix(K, np.eye(5), ridge=0.0)
         assert np.allclose(M, K @ K, atol=1e-12)
 
     def test_zero_ridge_keeps_pd_kernel(self, rng):
         X = rng.standard_normal((3, 5))
         K = build_kernel(X, KernelSpec())
-        M, _ = constraint_matrix(K, pca_graph(5), ridge=0.0)
+        M = constraint_matrix(K, pca_graph(5).B, ridge=0.0)
         assert np.array_equal(M, 0.5 * (K + K.T))
 
     def test_scaled_identity(self):
         K = np.eye(4)
-        pair = GraphPair(S=np.zeros((4, 4)), B=2.0 * np.eye(4), uses_kbk=True)
         ridge = 0.5
-        M, _ = constraint_matrix(K, pair, ridge=ridge)
+        M = constraint_matrix(K, 2.0 * np.eye(4), ridge=ridge)
         assert np.allclose(M, (2.0 + 2.0 * ridge) * np.eye(4))
 
     def test_degenerate_kernel_rejected(self):
         K = np.zeros((3, 3))
-        with pytest.raises(NumericError):
-            constraint_matrix(K, pca_graph(3), ridge=1e-8)
+        with pytest.raises(NumericError, match="raise the ridge"):
+            cholesky_factor(constraint_matrix(K, pca_graph(3).B, ridge=1e-8))

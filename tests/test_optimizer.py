@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,15 +20,15 @@ from kmsa import (
     transform,
 )
 from kmsa.eigsolver import cholesky_factor, fix_signs, generalized_eigh, whiten
-from kmsa.graphs import GraphPair, build_graph, constraint_matrix, laplacian, pca_graph
+from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
     MONOTONE_SLACK,
-    OptState,
     closed_form_weights,
     gram_divergence,
     objective,
     objective_terms,
+    trace_parts,
     update_view,
     view_state,
     view_trace_terms,
@@ -54,23 +53,23 @@ def pca_p(n):
     return laplacian(pca_graph(n).S)
 
 
-def hand_state(K, P, M, U):
-    """A view's optimizer state from a kernel, graph quadratic and constraint,
-    factored and whitened as fit does."""
-    return view_state(K, sym(K @ P @ K), cholesky_factor(M), U)
+def hand_state(K, P, M):
+    """A view's optimizer constants from a kernel, graph quadratic and
+    constraint, factored and whitened as fit does."""
+    return view_state(K, sym(K @ P @ K), cholesky_factor(M))
 
 
 def make_state(rng, m=2, n=6, d=2):
     """Hand-assembled optimizer state over random Gaussian-kernel views with
-    the pca graph quadratic P = pca_p(n)."""
-    states = []
+    the pca graph quadratic P = pca_p(n); returns (views, Us, alpha)."""
+    views, Us = [], []
     for v in range(m):
         X = rng.standard_normal((3, n))
         K = build_kernel(X, KernelSpec())
-        _, L = constraint_matrix(K, pca_graph(n), ridge=1e-6)
-        U = rng.standard_normal((n, d))
-        states.append(view_state(K, sym(K @ pca_p(n) @ K), L, U))
-    return OptState(states=states, alpha=np.full(m, 1.0 / m), objective_trace=[])
+        L = cholesky_factor(constraint_matrix(K, pca_graph(n).B, ridge=1e-6))
+        Us.append(rng.standard_normal((n, d)))
+        views.append(view_state(K, sym(K @ pca_p(n) @ K), L))
+    return views, Us, np.full(m, 1.0 / m)
 
 
 def fitted_constraint(data, model, v):
@@ -80,26 +79,26 @@ def fitted_constraint(data, model, v):
     X = data.views[v]
     K = build_kernel(X, model.kernels[v], center=cfg.center_kernel)
     recipe = cfg.graphs_for(data.n_views)[v]
-    return constraint_matrix(K, build_graph(X, data.labels, recipe), cfg.ridge)[0]
+    return constraint_matrix(K, build_graph(X, data.labels, recipe).B, cfg.ridge)
 
 
 class TestObjective:
     def test_single_view_reduces_to_trace_plus_kappa(self, rng):
-        state = make_state(rng, m=1)
-        state.alpha = np.array([1.0])
+        views, Us, _ = make_state(rng, m=1)
+        alpha = np.array([1.0])
         cfg = KmsaConfig(d=2)
-        vs = state.states[0]
-        expected = np.trace(vs.U.T @ vs.K @ pca_p(6) @ vs.K @ vs.U) + cfg.kappa
-        assert objective(state, cfg) == pytest.approx(expected, rel=1e-12)
+        K, U = views[0].K, Us[0]
+        expected = np.trace(U.T @ K @ pca_p(6) @ K @ U) + cfg.kappa
+        assert objective(*trace_parts(views, Us), alpha, cfg) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_zero_coefficients_leave_only_regularizer(self, rng):
         m = 3
-        state = make_state(rng, m=m)
-        for v in range(m):
-            vs = state.states[v]
-            state.states[v] = replace(vs, U=np.zeros_like(vs.U))
+        views, Us, alpha = make_state(rng, m=m)
+        Us = [np.zeros_like(U) for U in Us]
         cfg = KmsaConfig(d=2)
-        assert objective(state, cfg) == pytest.approx(
+        assert objective(*trace_parts(views, Us), alpha, cfg) == pytest.approx(
             cfg.kappa * m * (1.0 / m) ** cfg.r, rel=1e-12
         )
 
@@ -113,14 +112,7 @@ class TestObjective:
         u2 = np.array([[0.5], [-1.0], [1.5]])
         alpha = np.array([0.6, 0.4])
         r, kappa, eta = 3.0, 0.1, -1.0
-        state = OptState(
-            states=[
-                hand_state(K1, P1, np.eye(3), u1),
-                hand_state(K2, P2, np.eye(3), u2),
-            ],
-            alpha=alpha,
-            objective_trace=[],
-        )
+        views = [hand_state(K1, P1, np.eye(3)), hand_state(K2, P2, np.eye(3))]
         embed = (
             alpha[0] ** r * (u1.T @ K1 @ P1 @ K1 @ u1).item()
             + alpha[1] ** r * (u2.T @ K2 @ P2 @ K2 @ u2).item()
@@ -129,21 +121,24 @@ class TestObjective:
         # one unordered pair; d=1 makes the alignment trace a squared dot
         align = (alpha[0] ** r + alpha[1] ** r) / (2 * eta) * (u2.T @ u1).item() ** 2
         cfg = KmsaConfig(d=1, r=r, kappa=kappa, eta=eta)
-        assert objective(state, cfg) == pytest.approx(embed + reg + align, rel=1e-12)
+        assert objective(*trace_parts(views, [u1, u2]), alpha, cfg) == pytest.approx(
+            embed + reg + align, rel=1e-12
+        )
 
     def test_decomposes_into_three_terms(self, rng):
-        state = make_state(rng, m=3, d=2)
-        state.alpha = np.array([0.5, 0.3, 0.2])
+        views, Us, _ = make_state(rng, m=3, d=2)
+        alpha = np.array([0.5, 0.3, 0.2])
         cfg = KmsaConfig(d=2)
-        terms = objective_terms(state, cfg)
+        parts = trace_parts(views, Us)
+        terms = objective_terms(*parts, alpha, cfg)
         total = terms["embedding"] + terms["weight_regularizer"] + terms["alignment"]
-        assert objective(state, cfg) == pytest.approx(total, abs=1e-10)
+        assert objective(*parts, alpha, cfg) == pytest.approx(total, abs=1e-10)
 
 
 @st.composite
 def trace_problems(draw):
     """A random m-view state (m in 1..4) with signed graph quadratics, plus a
-    config and simplex weights; returns (state, cfg, Ks, Ps, Us)."""
+    config and simplex weights; returns (views, Us, alpha, cfg, Ks, Ps)."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, n))
@@ -159,10 +154,9 @@ def trace_problems(draw):
         Ks.append(build_kernel(rng.standard_normal((3, n)), KernelSpec()))
         Ps.append(laplacian(sym(rng.standard_normal((n, n)))))
         Us.append(rng.standard_normal((n, d)))
-    states = [hand_state(K, P, np.eye(n), U) for K, P, U in zip(Ks, Ps, Us)]
+    views = [hand_state(K, P, np.eye(n)) for K, P in zip(Ks, Ps)]
     alpha = rng.dirichlet(np.ones(m))
-    state = OptState(states=states, alpha=alpha, objective_trace=[])
-    return state, cfg, Ks, Ps, Us
+    return views, Us, alpha, cfg, Ks, Ps
 
 
 class TestDenseReferences:
@@ -173,20 +167,20 @@ class TestDenseReferences:
     @settings(max_examples=60, deadline=None)
     @given(trace_problems())
     def test_view_trace_terms_match_dense_j(self, problem):
-        state, cfg, Ks, Ps, Us = problem
+        views, Us, alpha, cfg, Ks, Ps = problem
         want, scale = dense_trace_terms(Ks, Ps, Us, cfg.r, cfg.kappa, cfg.eta)
-        got = view_trace_terms(state, cfg)
+        got = view_trace_terms(*trace_parts(views, Us), Us, cfg)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
 
     @settings(max_examples=60, deadline=None)
     @given(trace_problems())
     def test_objective_terms_match_explicit_kpk(self, problem):
-        state, cfg, Ks, Ps, Us = problem
+        views, Us, alpha, cfg, Ks, Ps = problem
         want, scale = dense_objective_terms(
-            Ks, Ps, Us, state.alpha, cfg.r, cfg.kappa, cfg.eta
+            Ks, Ps, Us, alpha, cfg.r, cfg.kappa, cfg.eta
         )
-        got = objective_terms(state, cfg)
+        got = objective_terms(*trace_parts(views, Us), alpha, cfg)
         assert abs(got["embedding"] - want["embedding"]) <= 1e-12 * max(
             abs(want["embedding"]), scale
         )
@@ -198,58 +192,54 @@ class TestBuildH:
     """The dense reference quadratic that TestUpdateView compares against."""
 
     def test_single_view_is_bare_quadratic(self, rng):
-        state = make_state(rng, m=1)
-        vs = state.states[0]
-        kpk = vs.K @ pca_p(6) @ vs.K
-        H = build_h(kpk, [vs.U], np.array([1.0]), 0, 3.0, -1.0)
+        views, Us, _ = make_state(rng, m=1)
+        K = views[0].K
+        kpk = K @ pca_p(6) @ K
+        H = build_h(kpk, Us, np.array([1.0]), 0, 3.0, -1.0)
         assert np.allclose(H, sym(kpk))
 
     def test_uniform_weights_coefficient(self, rng):
-        state = make_state(rng, m=2)
-        vs0, vs1 = state.states
-        kpk = sym(vs0.K @ pca_p(6) @ vs0.K)
-        H = build_h(kpk, [vs0.U, vs1.U], state.alpha, 0, 3.0, -1.0)
+        views, Us, alpha = make_state(rng, m=2)
+        K = views[0].K
+        kpk = sym(K @ pca_p(6) @ K)
+        H = build_h(kpk, Us, alpha, 0, 3.0, -1.0)
         coupling = H - kpk
         # (1 + 1) / (2 eta) = 1/eta = -1
-        assert np.allclose(coupling, -vs1.U @ vs1.U.T, atol=1e-12)
+        assert np.allclose(coupling, -Us[1] @ Us[1].T, atol=1e-12)
 
     def test_skewed_weights_coefficient(self, rng):
-        state = make_state(rng, m=2)
-        vs0, vs1 = state.states
-        kpk = sym(vs0.K @ pca_p(6) @ vs0.K)
-        H = build_h(kpk, [vs0.U, vs1.U], np.array([0.8, 0.2]), 0, 3.0, -1.0)
+        views, Us, _ = make_state(rng, m=2)
+        K = views[0].K
+        kpk = sym(K @ pca_p(6) @ K)
+        H = build_h(kpk, Us, np.array([0.8, 0.2]), 0, 3.0, -1.0)
         coupling = H - kpk
         coeff = (1.0 + (0.2 / 0.8) ** 3) / (2.0 * -1.0)
         assert coeff == pytest.approx(-0.5078125)
-        assert np.allclose(coupling, coeff * vs1.U @ vs1.U.T, atol=1e-12)
+        assert np.allclose(coupling, coeff * Us[1] @ Us[1].T, atol=1e-12)
 
 
 class TestUpdateView:
     def test_diagonal_quadratic_picks_smallest_entries(self):
         H = np.diag([5.0, -1.0, 2.0, 0.0])
-        state = OptState(
-            states=[hand_state(np.eye(4), H, np.eye(4), np.zeros((4, 2)))],
-            alpha=np.array([1.0]),
-            objective_trace=[],
-        )
+        views = [hand_state(np.eye(4), H, np.eye(4))]
         cfg = KmsaConfig(d=2)
-        U = update_view(state, 0, cfg)
+        U = update_view(views, [np.zeros((4, 2))], np.array([1.0]), 0, cfg)
         # smallest diagonal entries are -1 then 0
         assert np.allclose(np.abs(U), np.array(
             [[0, 0], [1, 0], [0, 0], [0, 1]], dtype=float), atol=1e-12)
 
     def test_repeated_call_is_identical(self, rng):
-        state = make_state(rng, m=2, d=2)
+        views, Us, alpha = make_state(rng, m=2, d=2)
         cfg = KmsaConfig(d=2)
-        U1 = update_view(state, 0, cfg)
-        U2 = update_view(state, 0, cfg)
+        U1 = update_view(views, Us, alpha, 0, cfg)
+        U2 = update_view(views, Us, alpha, 0, cfg)
         assert np.array_equal(U1, U2)
 
     def test_result_is_constraint_orthonormal(self, rng):
-        state = make_state(rng, m=2, d=3, n=8)
+        views, Us, alpha = make_state(rng, m=2, d=3, n=8)
         cfg = KmsaConfig(d=3)
-        U = update_view(state, 1, cfg)
-        L = state.states[1].L
+        U = update_view(views, Us, alpha, 1, cfg)
+        L = views[1].L
         M = L @ L.T
         assert np.abs(U.T @ M @ U - np.eye(3)).max() < 1e-8
 
@@ -259,7 +249,8 @@ def update_problems(draw):
     """A random m-view state (m in 1..4, N in 3..30, d in 1..N) with signed
     graph quadratics, constraints K or K K plus a log-uniform ridge in
     [1e-8, 1], simplex weights and a view to update, built as fit builds it;
-    returns (state, cfg, v, kpks, Ms) with the dense K P K and M of each view."""
+    returns (views, Us, alpha, cfg, v, kpks, Ms) with the dense K P K and M of
+    each view."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(3, 30))
     cfg = KmsaConfig(
@@ -269,18 +260,19 @@ def update_problems(draw):
         ridge=10.0 ** draw(st.floats(-8.0, 0.0)),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    states, kpks, Ms = [], [], []
+    views, Us, kpks, Ms = [], [], [], []
     for _ in range(m):
         K = build_kernel(rng.standard_normal((3, n)), KernelSpec())
         S = sym(rng.standard_normal((n, n)))
-        pair = GraphPair(S=S, B=np.eye(n), uses_kbk=draw(st.booleans()))
+        B = np.eye(n) if draw(st.booleans()) else None
         kpk = sym(K @ laplacian(S) @ K)
-        M, L = constraint_matrix(K, pair, cfg.ridge)
-        states.append(view_state(K, kpk, L, rng.standard_normal((n, cfg.d))))
+        M = constraint_matrix(K, B, cfg.ridge)
+        views.append(view_state(K, kpk, cholesky_factor(M)))
+        Us.append(rng.standard_normal((n, cfg.d)))
         kpks.append(kpk)
         Ms.append(M)
-    state = OptState(states=states, alpha=rng.dirichlet(np.ones(m)), objective_trace=[])
-    return state, cfg, draw(st.integers(0, m - 1)), kpks, Ms
+    alpha = rng.dirichlet(np.ones(m))
+    return views, Us, alpha, cfg, draw(st.integers(0, m - 1)), kpks, Ms
 
 
 class TestCachedUpdate:
@@ -290,12 +282,11 @@ class TestCachedUpdate:
     @settings(max_examples=100, deadline=None)
     @given(update_problems())
     def test_matches_dense_generalized_solve(self, problem):
-        state, cfg, v, kpks, Ms = problem
+        views, Us, alpha, cfg, v, kpks, Ms = problem
         M, d = Ms[v], cfg.d
         n = M.shape[0]
-        Us = [vs.U for vs in state.states]
-        H = build_h(kpks[v], Us, state.alpha, v, cfg.r, cfg.eta)
-        U = update_view(state, v, cfg)
+        H = build_h(kpks[v], Us, alpha, v, cfg.r, cfg.eta)
+        U = update_view(views, Us, alpha, v, cfg)
         lam, V = generalized_eigh(H, M, n)
         # Backward-stable solves move eigenvalues by O(eps) times the largest
         # one, and the Cholesky factor represents M to O(n eps cond(M)); both
@@ -303,7 +294,7 @@ class TestCachedUpdate:
         # U's Rayleigh quotients are taken in whitened coordinates, where they
         # do not cancel.
         scale = 1.0 + np.abs(lam).max()
-        L = state.states[v].L
+        L = views[v].L
         Y = L.T @ U
         w = np.sum(Y * (whiten(L, H) @ Y), axis=0) / np.sum(Y * Y, axis=0)
         assert np.abs(w - lam[:d]).max() <= 1e-8 * scale
@@ -318,11 +309,7 @@ class TestCachedUpdate:
         # the eigensolver is handed the whitened matrix plus 1e-3 I: its pairs
         # solve a shifted pencil, which the check against the cache must catch
         H = np.diag([5.0, -1.0, 2.0, 0.0])
-        state = OptState(
-            states=[hand_state(np.eye(4), H, np.eye(4), np.zeros((4, 2)))],
-            alpha=np.array([1.0]),
-            objective_trace=[],
-        )
+        views = [hand_state(np.eye(4), H, np.eye(4))]
         real_eigh = scipy.linalg.eigh
 
         def shifted_eigh(a, *args, **kwargs):
@@ -330,7 +317,7 @@ class TestCachedUpdate:
 
         monkeypatch.setattr(scipy.linalg, "eigh", shifted_eigh)
         with pytest.raises(NumericError, match="backward-error bound"):
-            update_view(state, 0, KmsaConfig(d=2))
+            update_view(views, [np.zeros((4, 2))], np.array([1.0]), 0, KmsaConfig(d=2))
 
     def test_degenerate_kernel_at_zero_ridge_asks_for_a_ridge(self, rng):
         # a linear kernel over identical samples is the all-ones matrix
