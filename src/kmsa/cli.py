@@ -173,6 +173,8 @@ def cmd_eval(args) -> int:
     if args.repeats < 1:
         raise ConfigError("repeats_range", "--repeats must be >= 1")
     task = "classification" if args.task == "classify" else "retrieval"
+    if task == "classification" and args.top_n:
+        raise ConfigError("top_n_task", "--top-n applies only to --task retrieve")
 
     splits = [
         split_indices(data.n_samples, args.train_frac, np.random.default_rng(args.seed + i))

@@ -215,14 +215,21 @@ def load_model(path) -> KmsaModel:
             f"model format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
     try:
-        views = range(1, int(manifest["n_views"]) + 1)
+        n_views = manifest["n_views"]
+        alpha = np.array([float(a) for a in manifest["alpha"]])
         kernels = tuple(KernelSpec.from_dict(k) for k in manifest["kernels"])
         for spec in kernels:
             if spec.kind not in KERNEL_KINDS:
                 raise FormatError(f"{manifest_path}: unknown kernel kind {spec.kind!r}")
+        if type(n_views) is not int or not n_views == len(alpha) == len(kernels):
+            raise FormatError(
+                f"{manifest_path}: n_views {n_views!r} is not the integer count of "
+                f"its {len(alpha)} weights and {len(kernels)} kernels"
+            )
+        views = range(1, n_views + 1)
         return KmsaModel(
             coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
-            alpha=np.array([float(a) for a in manifest["alpha"]]),
+            alpha=alpha,
             objective_trace=tuple(float(g) for g in manifest["objective_trace"]),
             embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
             config=KmsaConfig.from_dict(manifest["config"]),
@@ -260,7 +267,3 @@ def read_json_object(path) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
-
-
-def load_report(path) -> dict:
-    return read_json_object(path)

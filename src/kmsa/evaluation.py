@@ -11,6 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, EvalError
+from .kernels import pairwise_sq_dists
+
+
+def _check_inputs(A, a_labels, B, b_labels):
+    """Both embeddings as float matrices of one dimension, with one label per
+    column; raises DimensionError naming both shapes otherwise."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    a_labels, b_labels = np.asarray(a_labels), np.asarray(b_labels)
+    same_dim = A.ndim == B.ndim == 2 and A.shape[0] == B.shape[0]
+    if not same_dim or (A.shape[1], B.shape[1]) != (len(a_labels), len(b_labels)):
+        raise DimensionError(
+            f"embeddings {A.shape} and {B.shape} need one dimension and one label "
+            f"per column, got {len(a_labels)} and {len(b_labels)} labels"
+        )
+    return A, a_labels, B, b_labels
 
 
 def knn_classify(
@@ -20,24 +35,12 @@ def knn_classify(
     test_labels,
 ) -> float:
     """Fraction of test columns whose nearest training column shares their label."""
-    train = np.asarray(train, dtype=float)
-    test = np.asarray(test, dtype=float)
-    train_labels = np.asarray(train_labels)
-    test_labels = np.asarray(test_labels)
-    if train.ndim != 2 or test.ndim != 2 or train.shape[0] != test.shape[0]:
-        raise DimensionError(
-            f"embedding dimensions differ: train {train.shape}, test {test.shape}"
-        )
-    if train.shape[1] != len(train_labels) or test.shape[1] != len(test_labels):
-        raise DimensionError("label counts do not match sample counts")
+    train, train_labels, test, test_labels = _check_inputs(
+        train, train_labels, test, test_labels
+    )
     if test.shape[1] == 0:
         return 0.0
-    sq = (
-        np.sum(train * train, axis=0)[:, None]
-        + np.sum(test * test, axis=0)[None, :]
-        - 2.0 * (train.T @ test)
-    )
-    nearest = np.argmin(sq, axis=0)  # argmin keeps the lowest index on ties
+    nearest = np.argmin(pairwise_sq_dists(train, test), axis=0)  # ties: lowest index
     predicted = train_labels[nearest]
     return float(np.mean(predicted == test_labels))
 
@@ -56,18 +59,11 @@ def retrieval_metrics(
     per cutoff. Raises EvalError when some query's class has no gallery
     members (its recall would be undefined).
     """
-    queries = np.asarray(queries, dtype=float)
-    gallery = np.asarray(gallery, dtype=float)
-    query_labels = np.asarray(query_labels)
-    gallery_labels = np.asarray(gallery_labels)
-    if queries.ndim != 2 or gallery.ndim != 2 or queries.shape[0] != gallery.shape[0]:
-        raise DimensionError(
-            f"embedding dimensions differ: queries {queries.shape}, gallery {gallery.shape}"
-        )
+    queries, query_labels, gallery, gallery_labels = _check_inputs(
+        queries, query_labels, gallery, gallery_labels
+    )
     n_q = queries.shape[1]
     n_g = gallery.shape[1]
-    if n_q != len(query_labels) or n_g != len(gallery_labels):
-        raise DimensionError("label counts do not match sample counts")
     cutoffs = [int(n) for n in top_n]
     if any(n < 1 or n > n_g for n in cutoffs):
         raise EvalError(f"cutoffs must lie in [1, {n_g}], got {cutoffs}")

@@ -2,8 +2,9 @@
 
 The Gaussian kernel uses k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); the
 bandwidth defaults to the median of pairwise distances so synthetic
-experiments are scale-free. Centering applies H K H with H = I - (1/N) 11^T
-on both sides and is off by default.
+experiments are scale-free. A fit's kernel is cross_kernel of the training
+set against itself, symmetrized, so fit and transform share one path;
+centering, off by default, makes it H K H with H = I - (1/N) 11^T.
 """
 
 from __future__ import annotations
@@ -47,61 +48,42 @@ def resolve_kernel_spec(X: np.ndarray, spec: KernelSpec) -> KernelSpec:
 
 
 def _raw_kernel(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    # overflow surfaces as non-finite entries and is reported by the callers
+    """k(x, y) for every column pair of X and Y, a median bandwidth resolved on
+    X. Raises NumericError if any entry is non-finite (overflow, bad input)."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    spec = resolve_kernel_spec(X, spec)
+    # overflow surfaces as non-finite entries, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "gaussian":
-            sigma = spec.bandwidth
-            if sigma == MEDIAN:
-                sigma = median_heuristic_bandwidth(X)
-            return np.exp(-pairwise_sq_dists(X, Y) / (2.0 * float(sigma) ** 2))
-        if spec.kind == "linear":
-            return X.T @ Y
-        if spec.kind == "polynomial":
-            return (X.T @ Y + spec.offset) ** spec.degree
-    raise NumericError(f"unknown kernel kind {spec.kind!r}")
-
-
-def center_kernel(K: np.ndarray) -> np.ndarray:
-    """Double-center a square kernel: H K H, H = I - (1/N) ones."""
-    row = K.mean(axis=0, keepdims=True)
-    col = K.mean(axis=1, keepdims=True)
-    return K - row - col + K.mean()
-
-
-def build_kernel(X: np.ndarray, spec: KernelSpec, center: bool = False) -> np.ndarray:
-    """N x N kernel matrix of the view's columns, exactly symmetrized.
-
-    Raises NumericError if any entry is non-finite (polynomial overflow,
-    non-finite inputs).
-    """
-    X = np.asarray(X, dtype=float)
-    K = _raw_kernel(X, X, spec)
+            K = np.exp(-pairwise_sq_dists(X, Y) / (2.0 * float(spec.bandwidth) ** 2))
+        elif spec.kind == "linear":
+            K = X.T @ Y
+        elif spec.kind == "polynomial":
+            K = (X.T @ Y + spec.offset) ** spec.degree
+        else:
+            raise NumericError(f"unknown kernel kind {spec.kind!r}")
     if not np.isfinite(K).all():
         raise NumericError(f"{spec.kind} kernel produced non-finite entries")
-    K = 0.5 * (K + K.T)
-    if center:
-        K = center_kernel(K)
-        K = 0.5 * (K + K.T)
     return K
 
 
+def build_kernel(X: np.ndarray, spec: KernelSpec, center: bool = False) -> np.ndarray:
+    """N x N kernel matrix of the view's columns: its cross_kernel columns
+    against itself, exactly symmetrized."""
+    K = cross_kernel(X, X, spec, center)
+    return 0.5 * (K + K.T)
+
+
 def cross_kernel(
-    X_train: np.ndarray,
-    X_new: np.ndarray,
-    spec: KernelSpec,
-    center: bool = False,
+    X_train: np.ndarray, X_new: np.ndarray, spec: KernelSpec, center: bool = False
 ) -> np.ndarray:
     """N x Q kernel columns of new points against the training samples.
 
     With center=True the columns are centered consistently with the training
-    kernel: H (k_new - (1/N) K_raw 1), so a duplicated training sample
-    reproduces its column of H K H exactly.
+    kernel: H (k_new - (1/N) K_raw 1), which on the training samples
+    themselves is H K H.
     """
-    X_train = np.asarray(X_train, dtype=float)
-    X_new = np.asarray(X_new, dtype=float)
     Kc = _raw_kernel(X_train, X_new, spec)
-    if not np.isfinite(Kc).all():
-        raise NumericError(f"{spec.kind} kernel produced non-finite entries")
     if center:
         shifted = Kc - _raw_kernel(X_train, X_train, spec).mean(axis=1, keepdims=True)
         Kc = shifted - shifted.mean(axis=0, keepdims=True)

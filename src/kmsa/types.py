@@ -144,9 +144,6 @@ class MultiviewDataset:
     def n_samples(self) -> int:
         return self.views[0].shape[1] if self.views else 0
 
-    def dims(self) -> tuple:
-        return tuple(v.shape[0] for v in self.views)
-
     def subset(self, idx) -> "MultiviewDataset":
         """Column subset (same m views restricted to the given samples)."""
         idx = np.asarray(idx, dtype=int)

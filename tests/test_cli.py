@@ -11,7 +11,7 @@ import pytest
 import kmsa
 from kmsa import ConfigError, KmsaConfig, generate_synthetic
 from kmsa.cli import build_parser, cmd_eval, evaluate_repeat, main
-from kmsa.data_io import load_dataset, load_report, read_matrix_csv
+from kmsa.data_io import load_dataset, read_json_object, read_matrix_csv
 
 
 def run(capsys, *argv):
@@ -233,6 +233,9 @@ class TestTransform:
         ),
         pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kapa": 0.5}},
                      id="unknown-config-key"),
+        pytest.param(lambda doc: {**doc, "n_views": 2}, id="n-views-mismatch"),
+        pytest.param(lambda doc: {**doc, "n_views": float(doc["n_views"])}, id="n-views-float"),
+        pytest.param(lambda doc: {**doc, "kernels": doc["kernels"][1:]}, id="kernels-short"),
     ])
     def test_malformed_manifest_exits_two(self, fitted_model, tmp_path, capsys, edit):
         model = tmp_path / "model"
@@ -275,7 +278,7 @@ class TestEval:
             "--repeats", "1", "--train-frac", frac, "--seed", "0",
         )
         assert code == 0
-        doc = load_report(path)
+        doc = read_json_object(path)
         assert doc["train_frac"] == float(frac)
         assert 0.0 <= doc["mean"]["best_accuracy"] <= 1.0
 
@@ -288,7 +291,7 @@ class TestEval:
             "--repeats", "2", "--train-frac", "0.5", "--seed", "3",
         )
         assert code == 0
-        doc = load_report(path)
+        doc = read_json_object(path)
         mean = doc["mean"]
         for key in ("best_map", "best_precision", "best_recall", "best_f1", "cutoffs"):
             assert key in mean
@@ -306,6 +309,18 @@ class TestEval:
         assert code == 1
         assert "--top-n" in err
 
+    def test_top_n_with_classify_exits_one(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "eval", "--task", "classify", "--data", str(synth_dir),
+            "--config", str(cfg), "--out", str(out),
+            "--repeats", "1", "--top-n", "1,a",
+        )
+        assert code == 1
+        assert "--top-n" in err
+        assert not out.exists()
+
     def test_top_n_sets_every_cutoff_list(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path)
         path = tmp_path / "r.json"
@@ -315,7 +330,7 @@ class TestEval:
             "--repeats", "2", "--seed", "3", "--top-n", "1,3",
         )
         assert code == 0
-        doc = load_report(path)
+        doc = read_json_object(path)
         assert doc["mean"]["cutoffs"] == [1, 3]
         for key in ("precision", "recall", "f1"):
             assert len(doc["mean"][f"best_{key}"]) == 2

@@ -18,7 +18,7 @@ from kmsa import (
     transform,
 )
 from kmsa.data_io import (
-    load_report,
+    read_json_object,
     read_matrix_csv,
     save_report,
     write_matrix_csv,
@@ -80,7 +80,7 @@ class TestLoadDataset:
         data = load_dataset(tmp_path)
         assert data.n_views == 2
         assert data.n_samples == 5
-        assert data.dims() == (2, 1)  # transposed to features x samples
+        assert [X.shape for X in data.views] == [(2, 5), (1, 5)]  # features x samples
         assert data.labels.tolist() == [0, 0, 1, 1, 1]
 
     def test_mismatched_sample_counts_named(self, tmp_path):
@@ -220,4 +220,4 @@ class TestModelPersistence:
 def test_report_round_trip(tmp_path):
     doc = {"task": "classification", "mean": {"best_accuracy": 0.75}, "n": 3}
     save_report(doc, tmp_path / "rep.json")
-    assert load_report(tmp_path / "rep.json") == doc
+    assert read_json_object(tmp_path / "rep.json") == doc

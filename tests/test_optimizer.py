@@ -530,12 +530,14 @@ class TestTransform:
         with pytest.raises(DimensionError):
             transform(model, bad, data)
 
-    def test_centered_model_roundtrip(self, rng):
-        # centering re-derives the kernel columns through a different
-        # association order, and coefficient norms scale like ridge^-1/2,
-        # so the reproduction is close but not bitwise
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
+    def test_model_roundtrip(self, rng, kind, center):
+        # the fit's kernel is the transform's kernel columns, symmetrized:
+        # the two differ by that rounding only, which coefficient norms
+        # (scaling like ridge^-1/2) amplify, so the bound is not bitwise
         data = random_dataset(rng, m=2, n=12)
-        cfg = KmsaConfig(d=2, max_iters=2, center_kernel=True)
+        cfg = KmsaConfig(d=2, max_iters=2, kernel=KernelSpec(kind=kind), center_kernel=center)
         model = fit(data, cfg)
         out = transform(model, data.views, data)
         for Y, Z in zip(model.embeddings, out):
