@@ -85,6 +85,7 @@ def cross_kernel(
     """
     Kc = _raw_kernel(X_train, X_new, spec)
     if center:
-        shifted = Kc - _raw_kernel(X_train, X_train, spec).mean(axis=1, keepdims=True)
+        K_raw = Kc if X_new is X_train else _raw_kernel(X_train, X_train, spec)
+        shifted = Kc - K_raw.mean(axis=1, keepdims=True)
         Kc = shifted - shifted.mean(axis=0, keepdims=True)
     return Kc

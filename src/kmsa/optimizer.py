@@ -1,6 +1,11 @@
 """Alternating minimization: per-view coefficient updates by generalized
 eigendecomposition, closed-form view weights, objective tracing.
 
+Each update lowers the view's whitened quadratic A_v by a rank-(m-1)d
+coupling. From SPECTRAL_MIN_N samples on, the fit keeps A_v's eigenpairs in
+place of A_v after the first, uncoupled updates and solves each coupled
+update from a secular equation in that basis.
+
 Objective convention. The recorded objective is
 
     G = sum_v alpha_v^r tr(U_v^T K_v P_v K_v U_v) + kappa * sum_v alpha_v^r
@@ -20,12 +25,12 @@ are clamped to a tiny floor and the event is recorded in the model log
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-from .eigsolver import cholesky_factor, solve_whitened, whiten
+from .eigsolver import back_transform, cholesky_factor, secular_smallest, solve_whitened, whiten
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
 from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
@@ -33,18 +38,28 @@ from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
 MONOTONE_SLACK = 1e-8
 TRACE_FLOOR = 1e-12
+# below this many samples a subset solve per update beats one full eigh per view
+SPECTRAL_MIN_N = 150
 
 
 @dataclass(frozen=True)
 class ViewState:
     """Per-view constants of a fit: kernel K, lower Cholesky factor L of the
     ridged constraint M = L L^T, whitened graph quadratic A = L^{-1} K P K L^{-T}
+    (once diagonalized, A is None and spectrum = (lam, Q), A = Q diag(lam) Q^T)
     and kpk_sq = ||K P K||_F^2 (K P K = L A L^T and M are not kept)."""
 
     K: np.ndarray
     L: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | None
     kpk_sq: float
+    spectrum: tuple | None = None
+
+    def apply_a(self, Y: np.ndarray) -> np.ndarray:
+        if self.A is not None:
+            return self.A @ Y
+        lam, Q = self.spectrum
+        return Q @ (lam[:, None] * (Q.T @ Y))
 
 
 def view_state(K, KPK, L) -> ViewState:
@@ -59,7 +74,7 @@ def trace_parts(views, Us) -> tuple:
     embed = np.zeros(m)
     for v, (vs, U) in enumerate(zip(views, Us)):
         Y = vs.L.T @ U
-        embed[v] = np.sum(Y * (vs.A @ Y))
+        embed[v] = np.sum(Y * vs.apply_a(Y))
     cross = np.zeros((m, m))
     for v in range(m):
         for w in range(v + 1, m):
@@ -114,22 +129,36 @@ def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
 def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
     """New coefficient matrix for view v: the d smallest generalized
     eigenvectors of (H_v, M_v), from the view's cached factor and whitened
-    quadratic with O(N^2 d) work besides the subset eigensolve. The residual
-    check applies H_v in factored form, with ||H_v||_F^2 expanded from kpk_sq
-    and d x d cross-Grams."""
+    quadratic (or its eigenpairs) with O(N^2 d) work besides the eigensolve.
+    The residual check applies H_v in factored form, with ||H_v||_F^2
+    expanded from kpk_sq and d x d cross-Grams."""
     vs = views[v]
-    L, A = vs.L, vs.A
+    L = vs.L
     W = np.hstack(Us)
     c = np.repeat(_coupling(alpha, v, cfg), cfg.d)
     Z = sla.solve_triangular(L, W, lower=True)
     Y, G = L.T @ W, W.T @ W
-    h_sq = vs.kpk_sq + 2.0 * c @ np.sum(Y * (A @ Y), axis=0) + c @ (G * G) @ c
+    h_sq = vs.kpk_sq + 2.0 * c @ np.sum(Y * vs.apply_a(Y), axis=0) + c @ (G * G) @ c
+    h_norm = np.sqrt(max(h_sq, 0.0))
 
     def apply_h(V):
-        return L @ (A @ (L.T @ V)) + W @ (c[:, None] * (W.T @ V))
+        return L @ vs.apply_a(L.T @ V) + W @ (c[:, None] * (W.T @ V))
 
-    _, U = solve_whitened(A + (Z * c) @ Z.T, L, cfg.d, apply_h, np.sqrt(max(h_sq, 0.0)))
-    return U
+    if vs.A is not None:
+        return solve_whitened(vs.A + (Z * c) @ Z.T, L, cfg.d, apply_h, h_norm)[1]
+    lam, Q = vs.spectrum  # c_w < 0 for every view w other than v, since eta < 0
+    w, X = secular_smallest(lam, Q.T @ (Z[:, c < 0] * np.sqrt(-c[c < 0])), cfg.d)
+    return back_transform(w, Q @ X, L, apply_h, h_norm)[1]
+
+
+def diagonalize_views(views) -> None:
+    """From SPECTRAL_MIN_N samples on, replace each view's A by its eigenpairs,
+    in place and one view at a time so that one extra N x N matrix is alive."""
+    if views[0].K.shape[0] < SPECTRAL_MIN_N:
+        return
+    for v in range(len(views)):
+        spectrum = sla.eigh(views[v].A, driver="evr")
+        views[v] = replace(views[v], A=None, spectrum=spectrum)
 
 
 def view_trace_terms(embed, cross, Us, cfg: KmsaConfig) -> np.ndarray:
@@ -200,6 +229,7 @@ def fit(
     Us = [np.zeros((data.n_samples, cfg.d)) for _ in range(m)]
     # every U_v is still 0, so these first updates carry no coupling term
     Us = [update_view(views, Us, alpha, v, cfg) for v in range(m)]
+    diagonalize_views(views)
     trace = [objective(*trace_parts(views, Us), alpha, cfg)]
 
     warned_clamp = False

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kmsa import NumericError
-from kmsa.eigsolver import fix_signs, generalized_eigh
+from kmsa import NumericError, eigsolver
+from kmsa.eigsolver import fix_signs, generalized_eigh, secular_smallest
 
 from oracles import gen_eig_oracle
 
@@ -99,3 +102,77 @@ def test_indefinite_constraint_rejected():
 def test_bad_d_rejected():
     with pytest.raises(NumericError):
         generalized_eigh(np.eye(3), np.eye(3), 4)
+
+
+@st.composite
+def secular_problems(draw):
+    """(lam, Z, d) for diag(lam) - Z Z^T: lam often has repeated (integer)
+    entries, Z's column scales span weak to strong coupling, Z may have a
+    duplicated column (rank deficiency), and the problem may be the direct sum
+    of two copies of itself, which doubles every eigenvalue (coincident
+    wanted roots)."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lam = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        lam = rng.standard_normal(n)
+    Z = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3.0, 2.0, size=k)
+    if k > 1 and draw(st.booleans()):
+        Z[:, -1] = Z[:, 0]
+    if draw(st.booleans()):
+        lam, Z = np.r_[lam, lam], scipy.linalg.block_diag(Z, Z)
+    return lam, Z, draw(st.integers(1, lam.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(secular_problems())
+def test_secular_smallest_matches_dense_eigh(problem):
+    lam, Z, d = problem
+    T = np.diag(lam) - Z @ Z.T
+    ref, V = np.linalg.eigh(T)
+    dense_calls = []
+    real_eigh = scipy.linalg.eigh
+
+    def recording_eigh(*args, **kwargs):
+        dense_calls.append(kwargs.get("subset_by_index"))
+        return real_eigh(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigh", recording_eigh)
+        w, X = secular_smallest(lam, Z, d)
+
+    scale = np.abs(lam).max() + np.abs(ref).max()
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - ref[:d]).max() <= 1e-13 * scale
+    assert np.abs(X.T @ X - np.eye(d)).max() <= 1e-12
+    assert np.linalg.norm(T @ X - X * w, axis=0).max() <= 1e-13 * scale
+    if d == lam.size or ref[d] - ref[d - 1] > 1e-6 * scale:
+        P = V[:, :d] @ V[:, :d].T
+        assert np.abs(X @ X.T - P).max() <= 1e-8
+    # the secular route finds only roots below min(lam); clear of it, it
+    # needs no dense solve
+    if ref[d - 1] >= lam.min():
+        assert dense_calls == [[0, d - 1]]
+    elif ref[d - 1] < lam.min() - 1e-6 * scale:
+        assert dense_calls == []
+
+
+def test_secular_smallest_solves_densely_when_newton_hits_its_cap(monkeypatch):
+    rng = np.random.default_rng(0)
+    lam, Z = rng.standard_normal(10), 3.0 * rng.standard_normal((10, 4))
+    ref = np.linalg.eigvalsh(np.diag(lam) - Z @ Z.T)
+    assert ref[1] < lam.min() - 1.0  # well inside the secular route
+    calls = []
+    real_eigh = scipy.linalg.eigh
+
+    def recording_eigh(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(eigsolver, "SECULAR_MAX_ITERS", 0)
+    w, _ = secular_smallest(lam, Z, 2)
+    assert calls == [[0, 1]]
+    assert np.allclose(w, ref[:2], rtol=1e-13, atol=0)

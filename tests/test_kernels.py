@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmsa import KernelSpec, NumericError, build_kernel, median_heuristic_bandwidth
+from kmsa import KernelSpec, NumericError, build_kernel, kernels, median_heuristic_bandwidth
 from kmsa.kernels import cross_kernel, resolve_kernel_spec
 
 
@@ -112,6 +112,24 @@ def test_cross_kernel_centered_matches_centered_gram(rng):
     K_centered = build_kernel(X, spec, center=True)
     cols = cross_kernel(X, X, spec, center=True)
     assert np.allclose(cols, K_centered, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "linear"])
+def test_centered_build_kernel_computes_the_raw_kernel_once(rng, monkeypatch, kind):
+    calls = []
+    real_raw = kernels._raw_kernel
+
+    def counting_raw(*args, **kwargs):
+        calls.append(1)
+        return real_raw(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_raw_kernel", counting_raw)
+    X = rng.standard_normal((3, 9))
+    K = build_kernel(X, KernelSpec(kind=kind), center=True)
+    assert len(calls) == 1
+    H = np.eye(9) - np.full((9, 9), 1.0 / 9)
+    raw = real_raw(X, X, KernelSpec(kind=kind))
+    assert np.allclose(K, H @ raw @ H, atol=1e-12)
 
 
 def test_center_kernel_matches_projection_form(rng):

@@ -19,12 +19,14 @@ from kmsa import (
     generate_synthetic,
     transform,
 )
+from kmsa import optimizer
 from kmsa.eigsolver import cholesky_factor, fix_signs, generalized_eigh, whiten
 from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
     MONOTONE_SLACK,
     closed_form_weights,
+    diagonalize_views,
     gram_divergence,
     objective,
     objective_terms,
@@ -275,17 +277,57 @@ def update_problems(draw):
     return views, Us, alpha, cfg, draw(st.integers(0, m - 1)), kpks, Ms
 
 
+def eigh_calls(monkeypatch):
+    """Record every scipy.linalg.eigh call as "subset" or "full"."""
+    calls = []
+    real_eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append("subset" if "subset_by_index" in kwargs else "full")
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def fit_both_routes(data, cfg, monkeypatch):
+    """(spectral model, its eigh calls, forced-dense model) for one fit, the
+    spectral route forced by a zero size threshold."""
+    calls = eigh_calls(monkeypatch)
+    monkeypatch.setattr(optimizer, "SPECTRAL_MIN_N", 0)
+    spectral = fit(data, cfg)
+    spectral_calls = list(calls)
+    monkeypatch.setattr(optimizer, "SPECTRAL_MIN_N", float("inf"))
+    return spectral, spectral_calls, fit(data, cfg)
+
+
+def assert_routes_agree(a, b):
+    """Same sweep count, traces to 1e-12 relative at every sweep, weights to
+    1e-12 and embeddings to 1e-7 relative."""
+    assert len(a.objective_trace) == len(b.objective_trace)
+    for x, y in zip(a.objective_trace, b.objective_trace):
+        assert x == pytest.approx(y, rel=1e-12)
+    assert np.abs(a.alpha - b.alpha).max() <= 1e-12
+    for Ya, Yb in zip(a.embeddings, b.embeddings):
+        assert np.abs(Ya - Yb).max() <= 1e-7 * np.abs(Yb).max()
+
+
 class TestCachedUpdate:
     """update_view solves from the cached factor and whitened quadratic; these
     tests hold it to the one-shot solve of the dense pencil (H_v, M_v)."""
 
+    @pytest.mark.parametrize("threshold", [0, float("inf")], ids=["spectral", "dense"])
     @settings(max_examples=100, deadline=None)
     @given(update_problems())
-    def test_matches_dense_generalized_solve(self, problem):
+    def test_matches_dense_generalized_solve(self, threshold, problem):
         views, Us, alpha, cfg, v, kpks, Ms = problem
         M, d = Ms[v], cfg.d
         n = M.shape[0]
         H = build_h(kpks[v], Us, alpha, v, cfg.r, cfg.eta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "SPECTRAL_MIN_N", threshold)
+            diagonalize_views(views)
+        assert (views[v].A is None) == (threshold == 0)
         U = update_view(views, Us, alpha, v, cfg)
         lam, V = generalized_eigh(H, M, n)
         # Backward-stable solves move eigenvalues by O(eps) times the largest
@@ -340,6 +382,41 @@ class TestCachedUpdate:
         model = fit(data, cfg)
         assert len(model.objective_trace) == 6
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("threshold, full", [(15, 3), (16, 0)])
+    def test_each_view_is_diagonalized_once_at_the_size_threshold(
+        self, rng, monkeypatch, threshold, full
+    ):
+        calls = eigh_calls(monkeypatch)
+        monkeypatch.setattr(optimizer, "SPECTRAL_MIN_N", threshold)
+        data = random_dataset(rng, m=3, n=15)
+        cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp", k=4), max_iters=5, tol=1e-300)
+        model = fit(data, cfg)
+        assert len(model.objective_trace) == 6
+        assert calls.count("full") == full
+
+    def test_lpp_fit_above_the_threshold_matches_the_dense_route(self, monkeypatch):
+        data = generate_synthetic(
+            classes=3, per_class=50, informative_views=3, noise_views=1, seed=0
+        )
+        assert data.n_samples >= optimizer.SPECTRAL_MIN_N
+        cfg = KmsaConfig(d=4, graph=GraphRecipe(kind="lpp"), max_iters=5)
+        spectral, calls, dense = fit_both_routes(data, cfg, monkeypatch)
+        # the first, uncoupled updates only: no coupled update fell back
+        assert calls == ["subset"] * 4 + ["full"] * 4
+        assert_routes_agree(spectral, dense)
+
+    def test_weak_coupling_falls_back_and_matches_the_dense_route(self, monkeypatch):
+        # at eta=-1e9 the coupling barely moves A's spectrum, so some updates
+        # have fewer than d eigenvalues below min(lam) and take the dense solve
+        data = generate_synthetic(
+            classes=3, per_class=50, informative_views=2, noise_views=1, seed=0
+        )
+        cfg = KmsaConfig(d=3, eta=-1e9, ridge=0.1, max_iters=3)
+        spectral, calls, dense = fit_both_routes(data, cfg, monkeypatch)
+        assert calls.count("full") == 3
+        assert calls.count("subset") > 3
+        assert_routes_agree(spectral, dense)
 
 
 class TestWeights:
