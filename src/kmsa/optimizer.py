@@ -153,7 +153,7 @@ def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.nda
 
 def diagonalize_views(views) -> None:
     """From SPECTRAL_MIN_N samples on, replace each view's A by its eigenpairs,
-    in place and one view at a time so that one extra N x N matrix is alive."""
+    in place and one view at a time, so no two views hold both at once."""
     if views[0].K.shape[0] < SPECTRAL_MIN_N:
         return
     for v in range(len(views)):

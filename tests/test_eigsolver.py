@@ -104,6 +104,20 @@ def test_bad_d_rejected():
         generalized_eigh(np.eye(3), np.eye(3), 4)
 
 
+def record_eigh_calls(mp):
+    """Record the subset_by_index of every scipy.linalg.eigh call (None for a
+    full decomposition)."""
+    calls = []
+    real_eigh = scipy.linalg.eigh
+
+    def recording_eigh(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return real_eigh(*args, **kwargs)
+
+    mp.setattr(scipy.linalg, "eigh", recording_eigh)
+    return calls
+
+
 @st.composite
 def secular_problems(draw):
     """(lam, Z, d) for diag(lam) - Z Z^T: lam often has repeated (integer)
@@ -132,15 +146,8 @@ def test_secular_smallest_matches_dense_eigh(problem):
     lam, Z, d = problem
     T = np.diag(lam) - Z @ Z.T
     ref, V = np.linalg.eigh(T)
-    dense_calls = []
-    real_eigh = scipy.linalg.eigh
-
-    def recording_eigh(*args, **kwargs):
-        dense_calls.append(kwargs.get("subset_by_index"))
-        return real_eigh(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "eigh", recording_eigh)
+        dense_calls = record_eigh_calls(mp)
         w, X = secular_smallest(lam, Z, d)
 
     scale = np.abs(lam).max() + np.abs(ref).max()
@@ -164,14 +171,7 @@ def test_secular_smallest_solves_densely_when_newton_hits_its_cap(monkeypatch):
     lam, Z = rng.standard_normal(10), 3.0 * rng.standard_normal((10, 4))
     ref = np.linalg.eigvalsh(np.diag(lam) - Z @ Z.T)
     assert ref[1] < lam.min() - 1.0  # well inside the secular route
-    calls = []
-    real_eigh = scipy.linalg.eigh
-
-    def recording_eigh(*args, **kwargs):
-        calls.append(kwargs.get("subset_by_index"))
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    calls = record_eigh_calls(monkeypatch)
     monkeypatch.setattr(eigsolver, "SECULAR_MAX_ITERS", 0)
     w, _ = secular_smallest(lam, Z, 2)
     assert calls == [[0, 1]]
