@@ -201,6 +201,15 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
         save_dataset(train_data, path / "train")
 
 
+def _json_array(doc: dict, key: str, item=object) -> list:
+    """doc[key] if it is a JSON array of item entries, else TypeError: a
+    string is not the array of its characters."""
+    value = doc[key]
+    if not (isinstance(value, list) and all(isinstance(x, item) for x in value)):
+        raise TypeError(f"{key!r} is not a JSON array of {item.__name__} entries")
+    return value
+
+
 def load_model(path) -> KmsaModel:
     """Reload a model directory written by save_model. A manifest with a
     missing, mistyped or invalid entry raises FormatError."""
@@ -216,8 +225,8 @@ def load_model(path) -> KmsaModel:
         )
     try:
         n_views = manifest["n_views"]
-        alpha = np.array([float(a) for a in manifest["alpha"]])
-        kernels = tuple(KernelSpec.from_dict(k) for k in manifest["kernels"])
+        alpha = np.array([float(a) for a in _json_array(manifest, "alpha")])
+        kernels = tuple(KernelSpec.from_dict(k) for k in _json_array(manifest, "kernels"))
         for spec in kernels:
             if spec.kind not in KERNEL_KINDS:
                 raise FormatError(f"{manifest_path}: unknown kernel kind {spec.kind!r}")
@@ -230,11 +239,11 @@ def load_model(path) -> KmsaModel:
         return KmsaModel(
             coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
             alpha=alpha,
-            objective_trace=tuple(float(g) for g in manifest["objective_trace"]),
+            objective_trace=tuple(float(g) for g in _json_array(manifest, "objective_trace")),
             embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
             config=KmsaConfig.from_dict(manifest["config"]),
             kernels=kernels,
-            log=tuple(manifest.get("log", [])),
+            log=tuple(_json_array({"log": [], **manifest}, "log", str)),
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc

@@ -1,18 +1,18 @@
-"""Symmetric-definite generalized eigensolver.
+"""Symmetric-definite generalized eigensolvers.
 
-Solves H u = xi M u for the d algebraically smallest eigenpairs by the
-Cholesky-Wilkinson congruence: factor M = L L^T once, whiten H to
-A = L^{-1} H L^{-T} with two triangular solves, compute only the d wanted
-pairs of A with LAPACK's MRRR driver (?syevr), and back-transform with one
-triangular solve L^T u = q. The optimizer keeps each view's L and whitened
-quadratic for the whole fit. From optimizer.SPECTRAL_MIN_N samples on it
-diagonalizes that quadratic once and solves each coupled update, a rank-k
-lowering of it, from a k x k secular equation (secular_smallest). Both
-routes share one back-transform and check. Ordering (ascending eigenvalues)
-and the sign convention (largest-magnitude entry of each vector positive,
-ties to the lowest index) are part of the contract so downstream embeddings
-and golden files are reproducible. Bases of repeated eigenvalues are not
-unique; compare subspace projectors, not raw vectors.
+A view's pencil (K P K, M) is reduced once per fit by the Cholesky-Wilkinson
+congruence: factor M = L L^T, whiten K P K to L^{-1} K P K L^{-T} with two
+triangular solves and diagonalize that with LAPACK's MRRR driver (?syevr).
+Each update lowers the pencil by a rank-k coupling, so in the resulting
+M-orthonormal eigenbasis it is diag(lam) - Z Z^T, whose d smallest pairs
+secular_smallest finds from a k x k secular equation or, below NEWTON_MIN_N
+rows, by a dense subset solve. Every pair is checked against the pencil
+itself (check_pairs). generalized_eigh solves one pencil directly, with a
+subset solve of its whitened matrix. Ordering (ascending eigenvalues) and the
+sign convention (largest-magnitude entry of each vector positive, ties to the
+lowest index) are part of the contract so downstream embeddings and golden
+files are reproducible. Bases of repeated eigenvalues are not unique; compare
+subspace projectors, not raw vectors.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .errors import NumericError
 
 # Newton iterations a secular root may take before the update is solved densely
 SECULAR_MAX_ITERS = 50
+# below this order a dense subset solve costs less than Newton's fixed cost
+NEWTON_MIN_N = 150
 
 
 def fix_signs(V: np.ndarray) -> np.ndarray:
@@ -51,35 +53,18 @@ def whiten(L: np.ndarray, S: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def solve_whitened(A, L, d: int, apply_h, h_norm: float):
-    """d smallest eigenpairs of the pencil (H, L L^T), given its whitened
-    matrix A = L^{-1} H L^{-T}; apply_h and h_norm as for back_transform.
-    Raises NumericError if d is out of range."""
-    n = A.shape[0]
-    if not (1 <= d <= n):
-        raise NumericError(f"requested {d} eigenpairs from an order-{n} pencil")
-    w, Q = sla.eigh(A, subset_by_index=[0, d - 1], driver="evr")
-    return back_transform(w, Q, L, apply_h, h_norm)
-
-
-def back_transform(w, Q, L, apply_h, h_norm: float):
-    """Pencil pairs (w, V) of the whitened pairs (w, Q): V = L^{-T} Q with
-    V^T L L^T V = I, sign-fixed. apply_h(V) must return H V and h_norm must be
-    ||H||_F: every pair is checked against H itself, not its whitened matrix.
-    Raises NumericError if a pair violates its backward-error bound
-    ||H v - w M v|| <= (1 + |w|) 1e-6 ||H||_F / sqrt(N)."""
-    n = L.shape[0]
-    V = fix_signs(sla.solve_triangular(L, Q, lower=True, trans="T"))
-
-    resid = np.linalg.norm(apply_h(V) - (L @ (L.T @ V)) * w, axis=0)
-    bound = (1.0 + np.abs(w)) * (1e-6 * h_norm / np.sqrt(n))
-    bad = np.flatnonzero(~(resid <= bound))  # a NaN residual fails too
+def check_pairs(w, HV, MV, h_norm: float) -> None:
+    """Check pencil pairs (w, V) of (H, M), given H V and M V, against the
+    backward-error bound ||H v - w M v|| <= (1 + |w|) 1e-6 ||H||_F / sqrt(N);
+    h_norm must be ||H||_F. Raises NumericError on the first pair that
+    violates it (a NaN residual does too)."""
+    resid = np.linalg.norm(HV - MV * w, axis=0)
+    bound = (1.0 + np.abs(w)) * (1e-6 * h_norm / np.sqrt(HV.shape[0]))
+    bad = np.flatnonzero(~(resid <= bound))
     if bad.size:
         i = bad[0]
-        raise NumericError(
-            f"eigenpair {i} residual {resid[i]:.3e} exceeds its backward-error bound"
-        )
-    return w, V
+        msg = f"eigenpair {i} residual {resid[i]:.3e} exceeds its backward-error bound"
+        raise NumericError(msg)
 
 
 def secular_smallest(lam, Z, d: int):
@@ -90,10 +75,17 @@ def secular_smallest(lam, Z, d: int):
     zero, and G(x) has one positive eigenvalue per eigenvalue below x
     (Haynsworth). Newton finds each root from its Ritz value on span(Z), an
     upper bound; the vectors (diag(lam) - x)^{-1} Z y, y in G's null space,
-    get one d x d Rayleigh-Ritz step. Unless d eigenvalues lie clearly below
-    min(lam) and Newton settles, a dense ?syevr subset solve is used instead.
+    get one d x d Rayleigh-Ritz step. Below NEWTON_MIN_N rows, or unless d
+    eigenvalues lie clearly below min(lam) and Newton settles, a dense ?syevr
+    subset solve is used instead. Z == 0 needs neither: the pairs are lam's
+    d smallest entries (ties to the lower index) and unit vectors.
     """
-    k = Z.shape[1]
+    n, k = Z.shape
+    if not Z.any():
+        pick = np.argsort(lam, kind="stable")[:d]
+        X = np.zeros((n, d))
+        X[pick, np.arange(d)] = 1.0
+        return lam[pick], X
     idx, col = np.arange(d), k - 1 - np.arange(d)
 
     def gram(x):  # G's eigenpairs at each point of x
@@ -103,7 +95,7 @@ def secular_smallest(lam, Z, d: int):
     def dense():
         return sla.eigh(np.diag(lam) - Z @ Z.T, subset_by_index=[0, d - 1], driver="evr")
 
-    if k < d:
+    if n < NEWTON_MIN_N or k < d:
         return dense()
     lmin = lam.min()
     Qz, R = np.linalg.qr(Z)
@@ -144,11 +136,14 @@ def generalized_eigh(H: np.ndarray, M_ridge: np.ndarray, d: int):
     """d smallest eigenpairs of the pencil (H, M_ridge).
 
     Returns (values, vectors): values ascending, vectors N x d with
-    V^T M_ridge V = I. Raises NumericError if M_ridge is not positive
-    definite or a computed pair violates its backward-error bound.
+    V^T M_ridge V = I. Raises NumericError if d is out of range, M_ridge is
+    not positive definite or a computed pair violates its backward-error bound.
     """
-    H = np.asarray(H, dtype=float)
-    L = cholesky_factor(np.asarray(M_ridge, dtype=float))
-    return solve_whitened(
-        whiten(L, H), L, d, lambda V: H @ V, float(np.linalg.norm(H, "fro"))
-    )
+    H, M = np.asarray(H, dtype=float), np.asarray(M_ridge, dtype=float)
+    if not (1 <= d <= H.shape[0]):
+        raise NumericError(f"requested {d} eigenpairs from an order-{H.shape[0]} pencil")
+    L = cholesky_factor(M)
+    w, Q = sla.eigh(whiten(L, H), subset_by_index=[0, d - 1], driver="evr")
+    V = fix_signs(sla.solve_triangular(L, Q, lower=True, trans="T"))
+    check_pairs(w, H @ V, M @ V, float(np.linalg.norm(H, "fro")))
+    return w, V

@@ -1,10 +1,10 @@
 """Alternating minimization: per-view coefficient updates by generalized
 eigendecomposition, closed-form view weights, objective tracing.
 
-Each update lowers the view's whitened quadratic A_v by a rank-(m-1)d
-coupling. From SPECTRAL_MIN_N samples on, the fit keeps A_v's eigenpairs in
-place of A_v after the first, uncoupled updates and solves each coupled
-update from a secular equation in that basis.
+Each view's pencil (K P K_v, M_v) is diagonalized once per fit. An update
+lowers it by a rank-(m-1)d coupling and is solved in that eigenbasis by
+eigsolver.secular_smallest; the first, uncoupled updates read their pairs
+off the spectrum.
 
 Objective convention. The recorded objective is
 
@@ -25,12 +25,12 @@ are clamped to a tiny floor and the event is recorded in the model log
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .eigsolver import back_transform, cholesky_factor, secular_smallest, solve_whitened, whiten
+from .eigsolver import check_pairs, cholesky_factor, fix_signs, secular_smallest, whiten
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
 from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
@@ -38,43 +38,42 @@ from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
 MONOTONE_SLACK = 1e-8
 TRACE_FLOOR = 1e-12
-# below this many samples a subset solve per update beats one full eigh per view
-SPECTRAL_MIN_N = 150
 
 
 @dataclass(frozen=True)
 class ViewState:
-    """Per-view constants of a fit: kernel K, lower Cholesky factor L of the
-    ridged constraint M = L L^T, whitened graph quadratic A = L^{-1} K P K L^{-T}
-    (once diagonalized, A is None and spectrum = (lam, Q), A = Q diag(lam) Q^T)
-    and kpk_sq = ||K P K||_F^2 (K P K = L A L^T and M are not kept)."""
+    """Per-view constants of a fit: kernel K, the eigenvalues lam of the pencil
+    (K P K, M) with M the ridged constraint, its M-orthonormal eigenvectors B
+    (B^T M B = I, B^T K P K B = diag(lam)), E = M B, so that K P K =
+    E diag(lam) E^T and M = E E^T, and kpk_sq = ||K P K||_F^2."""
 
     K: np.ndarray
-    L: np.ndarray
-    A: np.ndarray | None
+    lam: np.ndarray
+    B: np.ndarray
+    E: np.ndarray
     kpk_sq: float
-    spectrum: tuple | None = None
 
-    def apply_a(self, Y: np.ndarray) -> np.ndarray:
-        if self.A is not None:
-            return self.A @ Y
-        lam, Q = self.spectrum
-        return Q @ (lam[:, None] * (Q.T @ Y))
+    def kpk_forms(self, Y: np.ndarray) -> np.ndarray:
+        """Per-column y^T K P K y, as lam . (E^T y)^2."""
+        F = self.E.T @ Y
+        return self.lam @ (F * F)
 
 
 def view_state(K, KPK, L) -> ViewState:
-    """Whiten a view's symmetric graph quadratic KPK by its constraint factor L."""
-    return ViewState(K=K, L=L, A=whiten(L, KPK), kpk_sq=float(np.sum(KPK * KPK)))
+    """A view's constants from its kernel, symmetric graph quadratic KPK and
+    the lower Cholesky factor L of its constraint: one full ?syevr of the
+    whitened quadratic L^{-1} KPK L^{-T} = Q diag(lam) Q^T, then
+    B = L^{-T} Q and E = L Q."""
+    lam, Q = sla.eigh(whiten(L, KPK), driver="evr")
+    B = sla.solve_triangular(L, Q, lower=True, trans="T")
+    return ViewState(K=K, lam=lam, B=B, E=L @ Q, kpk_sq=float(np.sum(KPK * KPK)))
 
 
 def trace_parts(views, Us) -> tuple:
-    """Per-view tr(U_v^T K P K_v U_v) = tr(Y^T A_v Y) with Y = L_v^T U_v, and
-    the symmetric matrix of pairwise ||U_w^T U_v||_F^2 (zero diagonal)."""
+    """Per-view tr(U_v^T K P K_v U_v) and the symmetric matrix of pairwise
+    ||U_w^T U_v||_F^2 (zero diagonal)."""
     m = len(views)
-    embed = np.zeros(m)
-    for v, (vs, U) in enumerate(zip(views, Us)):
-        Y = vs.L.T @ U
-        embed[v] = np.sum(Y * vs.apply_a(Y))
+    embed = np.array([float(np.sum(vs.kpk_forms(U))) for vs, U in zip(views, Us)])
     cross = np.zeros((m, m))
     for v in range(m):
         for w in range(v + 1, m):
@@ -128,37 +127,24 @@ def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
 
 def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
     """New coefficient matrix for view v: the d smallest generalized
-    eigenvectors of (H_v, M_v), from the view's cached factor and whitened
-    quadratic (or its eigenpairs) with O(N^2 d) work besides the eigensolve.
-    The residual check applies H_v in factored form, with ||H_v||_F^2
-    expanded from kpk_sq and d x d cross-Grams."""
+    eigenvectors of (H_v, M_v). In the view's eigenbasis the pencil is
+    diag(lam) - Z Z^T with Z = B^T W |C|^{1/2}, W the other views'
+    coefficients and C < 0 their coupling weights; secular_smallest solves it
+    and V = B X. Each pair is checked with H_v V = E (lam E^T V) + W C W^T V
+    and M_v V = E E^T V, and ||H_v||_F^2 expanded from kpk_sq and d x d
+    cross-Grams."""
     vs = views[v]
-    L = vs.L
-    W = np.hstack(Us)
     c = np.repeat(_coupling(alpha, v, cfg), cfg.d)
-    Z = sla.solve_triangular(L, W, lower=True)
-    Y, G = L.T @ W, W.T @ W
-    h_sq = vs.kpk_sq + 2.0 * c @ np.sum(Y * vs.apply_a(Y), axis=0) + c @ (G * G) @ c
-    h_norm = np.sqrt(max(h_sq, 0.0))
-
-    def apply_h(V):
-        return L @ vs.apply_a(L.T @ V) + W @ (c[:, None] * (W.T @ V))
-
-    if vs.A is not None:
-        return solve_whitened(vs.A + (Z * c) @ Z.T, L, cfg.d, apply_h, h_norm)[1]
-    lam, Q = vs.spectrum  # c_w < 0 for every view w other than v, since eta < 0
-    w, X = secular_smallest(lam, Q.T @ (Z[:, c < 0] * np.sqrt(-c[c < 0])), cfg.d)
-    return back_transform(w, Q @ X, L, apply_h, h_norm)[1]
-
-
-def diagonalize_views(views) -> None:
-    """From SPECTRAL_MIN_N samples on, replace each view's A by its eigenpairs,
-    in place and one view at a time, so no two views hold both at once."""
-    if views[0].K.shape[0] < SPECTRAL_MIN_N:
-        return
-    for v in range(len(views)):
-        spectrum = sla.eigh(views[v].A, driver="evr")
-        views[v] = replace(views[v], A=None, spectrum=spectrum)
+    coupled = c < 0  # every view but v, since eta < 0
+    W, c = np.hstack(Us)[:, coupled], c[coupled]
+    G = W.T @ W
+    h_sq = vs.kpk_sq + 2.0 * c @ vs.kpk_forms(W) + c @ (G * G) @ c
+    w, X = secular_smallest(vs.lam, vs.B.T @ (W * np.sqrt(-c)), cfg.d)
+    V = fix_signs(vs.B @ X)
+    F = vs.E.T @ V
+    HV = vs.E @ (vs.lam[:, None] * F) + W @ (c[:, None] * (W.T @ V))
+    check_pairs(w, HV, vs.E @ F, np.sqrt(max(h_sq, 0.0)))
+    return V
 
 
 def view_trace_terms(embed, cross, Us, cfg: KmsaConfig) -> np.ndarray:
@@ -197,16 +183,23 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
         resolve_kernel_spec(X, spec)
         for X, spec in zip(data.views, cfg.kernels_for(m))
     ]
-    views = []
     notes = []
-    for X, spec, recipe in zip(data.views, specs, cfg.graphs_for(m)):
-        K = build_kernel(X, spec, center=cfg.center_kernel)
-        pair = build_graph(X, data.labels, recipe)
-        notes.extend(pair.notes)
-        KPK = K @ laplacian(pair.S) @ K
-        L = cholesky_factor(constraint_matrix(K, pair.B, cfg.ridge))
-        views.append(view_state(K, 0.5 * (KPK + KPK.T), L))
+    views = [
+        view_state(*_view_pencil(X, data.labels, spec, recipe, cfg, notes))
+        for X, spec, recipe in zip(data.views, specs, cfg.graphs_for(m))
+    ]
     return views, tuple(specs), notes
+
+
+def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, notes: list):
+    """A view's kernel K, symmetrized K P K and constraint factor L; the graph
+    goes out of scope here, before view_state diagonalizes."""
+    K = build_kernel(X, spec, center=cfg.center_kernel)
+    pair = build_graph(X, labels, recipe)
+    notes.extend(pair.notes)
+    KPK = K @ laplacian(pair.S) @ K
+    L = cholesky_factor(constraint_matrix(K, pair.B, cfg.ridge))
+    return K, 0.5 * (KPK + KPK.T), L
 
 
 def fit(
@@ -229,7 +222,6 @@ def fit(
     Us = [np.zeros((data.n_samples, cfg.d)) for _ in range(m)]
     # every U_v is still 0, so these first updates carry no coupling term
     Us = [update_view(views, Us, alpha, v, cfg) for v in range(m)]
-    diagonalize_views(views)
     trace = [objective(*trace_parts(views, Us), alpha, cfg)]
 
     warned_clamp = False

@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from kmsa import GraphRecipe, KernelSpec, KmsaConfig, MultiviewDataset  # noqa: E402
+from kmsa import GraphRecipe, KernelSpec, KmsaConfig, MultiviewDataset, eigsolver  # noqa: E402
 
 
 @pytest.fixture
@@ -27,6 +27,17 @@ def random_dataset(rng, m=3, n=20, dims=None, classes=2):
 
 def small_config(d=2, recipe="pca", **kw):
     return KmsaConfig(d=d, graph=GraphRecipe(kind=recipe), **kw)
+
+
+@pytest.fixture(params=["newton", "dense"])
+def secular_choice(request, monkeypatch):
+    """Force eigsolver.secular_smallest's choice at every order: Newton on the
+    secular equation, or the dense subset solve. The patch holds for the whole
+    test, so hypothesis tests may take it (the health check for
+    function-scoped fixtures does not apply)."""
+    newton = request.param == "newton"
+    monkeypatch.setattr(eigsolver, "NEWTON_MIN_N", 0 if newton else float("inf"))
+    return request.param
 
 
 @pytest.fixture

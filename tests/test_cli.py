@@ -227,6 +227,7 @@ class TestTransform:
         pytest.param(lambda doc: [doc], id="top-level-list"),
         pytest.param(lambda doc: {**doc, "n_views": "two"}, id="n-views-string"),
         pytest.param(lambda doc: {**doc, "alpha": ["x"] + doc["alpha"][1:]}, id="alpha-entry"),
+        pytest.param(lambda doc: {**doc, "alpha": "1234"}, id="alpha-string"),
         pytest.param(
             lambda doc: {**doc, "kernels": [{**doc["kernels"][0], "kind": "bogus"}]},
             id="kernel-kind",

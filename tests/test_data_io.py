@@ -200,6 +200,21 @@ class TestModelPersistence:
             with pytest.raises(VersionError):
                 load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "1234"),
+        ("objective_trace", "123"),
+        ("log", "oops"),
+        ("log", [1, 2]),
+    ], ids=["alpha", "objective-trace", "log", "log-entries"])
+    def test_string_in_place_of_an_array_rejected(self, tmp_path, key, value):
+        # a string is not the array of its characters
+        _, model = self.fitted()
+        save_model(model, tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(FormatError, match=key):
+            load_model(tmp_path / "m")
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "m").mkdir()
         with pytest.raises(IoError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kmsa import NumericError, eigsolver
@@ -140,9 +140,13 @@ def secular_problems(draw):
     return lam, Z, draw(st.integers(1, lam.size))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(secular_problems())
-def test_secular_smallest_matches_dense_eigh(problem):
+def test_secular_smallest_matches_dense_eigh(secular_choice, problem):
     lam, Z, d = problem
     T = np.diag(lam) - Z @ Z.T
     ref, V = np.linalg.eigh(T)
@@ -158,9 +162,9 @@ def test_secular_smallest_matches_dense_eigh(problem):
     if d == lam.size or ref[d] - ref[d - 1] > 1e-6 * scale:
         P = V[:, :d] @ V[:, :d].T
         assert np.abs(X @ X.T - P).max() <= 1e-8
-    # the secular route finds only roots below min(lam); clear of it, it
-    # needs no dense solve
-    if ref[d - 1] >= lam.min():
+    # Newton finds only roots below min(lam); clear of it, it needs no dense
+    # solve
+    if secular_choice == "dense" or ref[d - 1] >= lam.min():
         assert dense_calls == [[0, d - 1]]
     elif ref[d - 1] < lam.min() - 1e-6 * scale:
         assert dense_calls == []
@@ -172,7 +176,35 @@ def test_secular_smallest_solves_densely_when_newton_hits_its_cap(monkeypatch):
     ref = np.linalg.eigvalsh(np.diag(lam) - Z @ Z.T)
     assert ref[1] < lam.min() - 1.0  # well inside the secular route
     calls = record_eigh_calls(monkeypatch)
+    monkeypatch.setattr(eigsolver, "NEWTON_MIN_N", 0)
     monkeypatch.setattr(eigsolver, "SECULAR_MAX_ITERS", 0)
     w, _ = secular_smallest(lam, Z, 2)
     assert calls == [[0, 1]]
     assert np.allclose(w, ref[:2], rtol=1e-13, atol=0)
+
+
+def test_secular_smallest_solves_below_the_crossover_densely(monkeypatch):
+    rng = np.random.default_rng(1)
+    lam, Z = rng.standard_normal(10), 3.0 * rng.standard_normal((10, 4))
+    calls = record_eigh_calls(monkeypatch)
+    monkeypatch.setattr(eigsolver, "NEWTON_MIN_N", 11)
+    secular_smallest(lam, Z, 2)
+    monkeypatch.setattr(eigsolver, "NEWTON_MIN_N", 10)
+    secular_smallest(lam, Z, 2)
+    assert calls == [[0, 1]]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_zero_coupling_is_read_off_the_spectrum(monkeypatch, k):
+    # the uncoupled update: lam's smallest entries, ties to the lower index,
+    # and unit vectors, without a LAPACK call
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("secular_smallest called LAPACK for Z == 0")
+
+    for mod, name in [(scipy.linalg, "eigh"), (np.linalg, "eigh"),
+                      (np.linalg, "eigvalsh"), (np.linalg, "qr")]:
+        monkeypatch.setattr(mod, name, no_lapack)
+    lam = np.array([2.0, -1.0, 0.5, -1.0, 3.0])
+    w, X = secular_smallest(lam, np.zeros((5, k)), 3)
+    assert w.tolist() == [-1.0, -1.0, 0.5]
+    assert np.array_equal(X, np.eye(5)[:, [1, 3, 2]])

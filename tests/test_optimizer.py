@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kmsa import (
@@ -19,14 +20,13 @@ from kmsa import (
     generate_synthetic,
     transform,
 )
-from kmsa import optimizer
+from kmsa import eigsolver
 from kmsa.eigsolver import cholesky_factor, fix_signs, generalized_eigh, whiten
 from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
     MONOTONE_SLACK,
     closed_form_weights,
-    diagonalize_views,
     gram_divergence,
     objective,
     objective_terms,
@@ -241,8 +241,7 @@ class TestUpdateView:
         views, Us, alpha = make_state(rng, m=2, d=3, n=8)
         cfg = KmsaConfig(d=3)
         U = update_view(views, Us, alpha, 1, cfg)
-        L = views[1].L
-        M = L @ L.T
+        M = constraint_matrix(views[1].K, pca_graph(8).B, ridge=1e-6)  # as make_state
         assert np.abs(U.T @ M @ U - np.eye(3)).max() < 1e-8
 
 
@@ -291,14 +290,14 @@ def eigh_calls(monkeypatch):
 
 
 def fit_both_routes(data, cfg, monkeypatch):
-    """(spectral model, its eigh calls, forced-dense model) for one fit, the
-    spectral route forced by a zero size threshold."""
+    """(model, its eigh calls, model with every update solved densely) for one
+    fit of at least NEWTON_MIN_N samples."""
+    assert data.n_samples >= eigsolver.NEWTON_MIN_N
     calls = eigh_calls(monkeypatch)
-    monkeypatch.setattr(optimizer, "SPECTRAL_MIN_N", 0)
-    spectral = fit(data, cfg)
-    spectral_calls = list(calls)
-    monkeypatch.setattr(optimizer, "SPECTRAL_MIN_N", float("inf"))
-    return spectral, spectral_calls, fit(data, cfg)
+    newton = fit(data, cfg)
+    newton_calls = list(calls)
+    monkeypatch.setattr(eigsolver, "NEWTON_MIN_N", float("inf"))
+    return newton, newton_calls, fit(data, cfg)
 
 
 def assert_routes_agree(a, b):
@@ -313,30 +312,30 @@ def assert_routes_agree(a, b):
 
 
 class TestCachedUpdate:
-    """update_view solves from the cached factor and whitened quadratic; these
-    tests hold it to the one-shot solve of the dense pencil (H_v, M_v)."""
+    """update_view solves in the view's cached eigenbasis; these tests hold it
+    to the one-shot solve of the dense pencil (H_v, M_v), for both of
+    secular_smallest's choices."""
 
-    @pytest.mark.parametrize("threshold", [0, float("inf")], ids=["spectral", "dense"])
-    @settings(max_examples=100, deadline=None)
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(update_problems())
-    def test_matches_dense_generalized_solve(self, threshold, problem):
+    def test_matches_dense_generalized_solve(self, secular_choice, problem):
         views, Us, alpha, cfg, v, kpks, Ms = problem
         M, d = Ms[v], cfg.d
         n = M.shape[0]
         H = build_h(kpks[v], Us, alpha, v, cfg.r, cfg.eta)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimizer, "SPECTRAL_MIN_N", threshold)
-            diagonalize_views(views)
-        assert (views[v].A is None) == (threshold == 0)
         U = update_view(views, Us, alpha, v, cfg)
         lam, V = generalized_eigh(H, M, n)
         # Backward-stable solves move eigenvalues by O(eps) times the largest
         # one, and the Cholesky factor represents M to O(n eps cond(M)); both
-        # hold for either route, so the tolerances are taken relative to them.
+        # hold for either choice, so the tolerances are taken relative to them.
         # U's Rayleigh quotients are taken in whitened coordinates, where they
         # do not cancel.
         scale = 1.0 + np.abs(lam).max()
-        L = views[v].L
+        L = cholesky_factor(M)
         Y = L.T @ U
         w = np.sum(Y * (whiten(L, H) @ Y), axis=0) / np.sum(Y * Y, axis=0)
         assert np.abs(w - lam[:d]).max() <= 1e-8 * scale
@@ -347,19 +346,43 @@ class TestCachedUpdate:
             assert np.abs(U @ U.T @ M - ref).max() <= 1e-6
         assert np.array_equal(fix_signs(U), U)
 
-    def test_residual_check_rejects_a_pencil_other_than_the_cached_one(self, monkeypatch):
-        # the eigensolver is handed the whitened matrix plus 1e-3 I: its pairs
-        # solve a shifted pencil, which the check against the cache must catch
+    def test_residual_check_rejects_a_pencil_other_than_the_cached_one(
+        self, monkeypatch, secular_choice
+    ):
+        # a coupled update whose eigensolvers are each handed their matrix plus
+        # 1e-3 I: the pairs solve a shifted pencil, which the check must catch
         H = np.diag([5.0, -1.0, 2.0, 0.0])
-        views = [hand_state(np.eye(4), H, np.eye(4))]
-        real_eigh = scipy.linalg.eigh
+        views = [hand_state(np.eye(4), H, np.eye(4))] * 2
+        # strong enough that both wanted eigenvalues lie below min(lam) = -1
+        Us = [np.zeros((4, 2)), np.array([[3.0, 0.0], [1.5, 3.0], [0.0, 1.5], [3.0, 3.0]])]
+        alpha, cfg = np.full(2, 0.5), KmsaConfig(d=2)
+        update_view(views, Us, alpha, 0, cfg)  # unshifted, the pairs pass
 
-        def shifted_eigh(a, *args, **kwargs):
-            return real_eigh(a + 1e-3 * np.eye(a.shape[0]), *args, **kwargs)
+        def shifted(real_eigh):
+            def eigh(a, *args, **kwargs):
+                return real_eigh(a + 1e-3 * np.eye(a.shape[0]), *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", shifted_eigh)
+            return eigh
+
+        monkeypatch.setattr(scipy.linalg, "eigh", shifted(scipy.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigh", shifted(np.linalg.eigh))
         with pytest.raises(NumericError, match="backward-error bound"):
-            update_view(views, [np.zeros((4, 2))], np.array([1.0]), 0, KmsaConfig(d=2))
+            update_view(views, Us, alpha, 0, cfg)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda vs: replace(vs, B=(1.0 + 1e-3) * vs.B), id="B-scaled"),
+        pytest.param(lambda vs: replace(vs, E=(1.0 + 1e-3) * vs.E), id="E-scaled"),
+        pytest.param(lambda vs: replace(vs, B=vs.B[:, ::-1]), id="B-reversed"),
+    ])
+    def test_residual_check_rejects_a_corrupt_eigenbasis(self, rng, secular_choice, corrupt):
+        # the check reads the pencil from E and lam and the vectors from B, so
+        # a cached basis that no longer matches them fails a coupled update
+        views, Us, alpha = make_state(rng, m=2, n=8, d=2)
+        cfg = KmsaConfig(d=2)
+        update_view(views, Us, alpha, 0, cfg)
+        views[0] = corrupt(views[0])
+        with pytest.raises(NumericError, match="backward-error bound"):
+            update_view(views, Us, alpha, 0, cfg)
 
     def test_degenerate_kernel_at_zero_ridge_asks_for_a_ridge(self, rng):
         # a linear kernel over identical samples is the all-ones matrix
@@ -383,28 +406,27 @@ class TestCachedUpdate:
         assert len(model.objective_trace) == 6
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("threshold, full", [(15, 3), (16, 0)])
-    def test_each_view_is_diagonalized_once_at_the_size_threshold(
-        self, rng, monkeypatch, threshold, full
-    ):
+    @pytest.mark.parametrize("n", [15, 150])
+    def test_each_view_is_diagonalized_once_per_fit_at_every_n(self, rng, monkeypatch, n):
         calls = eigh_calls(monkeypatch)
-        monkeypatch.setattr(optimizer, "SPECTRAL_MIN_N", threshold)
-        data = random_dataset(rng, m=3, n=15)
-        cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp", k=4), max_iters=5, tol=1e-300)
-        model = fit(data, cfg)
+        data = random_dataset(rng, m=3, n=n)
+        recipe = GraphRecipe(kind="lpp", k=4)
+        fit(data, KmsaConfig(d=2, graph=recipe, max_iters=0))
+        # the first, uncoupled updates call no eigensolver
+        assert calls == ["full"] * 3
+        model = fit(data, KmsaConfig(d=2, graph=recipe, max_iters=5, tol=1e-300))
         assert len(model.objective_trace) == 6
-        assert calls.count("full") == full
+        assert calls[3:].count("full") == 3
 
     def test_lpp_fit_above_the_threshold_matches_the_dense_route(self, monkeypatch):
         data = generate_synthetic(
             classes=3, per_class=50, informative_views=3, noise_views=1, seed=0
         )
-        assert data.n_samples >= optimizer.SPECTRAL_MIN_N
         cfg = KmsaConfig(d=4, graph=GraphRecipe(kind="lpp"), max_iters=5)
-        spectral, calls, dense = fit_both_routes(data, cfg, monkeypatch)
-        # the first, uncoupled updates only: no coupled update fell back
-        assert calls == ["subset"] * 4 + ["full"] * 4
-        assert_routes_agree(spectral, dense)
+        newton, calls, dense = fit_both_routes(data, cfg, monkeypatch)
+        # one diagonalization per view, and no coupled update fell back
+        assert calls == ["full"] * 4
+        assert_routes_agree(newton, dense)
 
     def test_weak_coupling_falls_back_and_matches_the_dense_route(self, monkeypatch):
         # at eta=-1e9 the coupling barely moves A's spectrum, so some updates
@@ -413,10 +435,10 @@ class TestCachedUpdate:
             classes=3, per_class=50, informative_views=2, noise_views=1, seed=0
         )
         cfg = KmsaConfig(d=3, eta=-1e9, ridge=0.1, max_iters=3)
-        spectral, calls, dense = fit_both_routes(data, cfg, monkeypatch)
+        newton, calls, dense = fit_both_routes(data, cfg, monkeypatch)
         assert calls.count("full") == 3
-        assert calls.count("subset") > 3
-        assert_routes_agree(spectral, dense)
+        assert calls.count("subset") > 0
+        assert_routes_agree(newton, dense)
 
 
 class TestWeights:
