@@ -225,7 +225,7 @@ def load_model(path) -> KmsaModel:
         )
     try:
         n_views = manifest["n_views"]
-        alpha = np.array([float(a) for a in _json_array(manifest, "alpha")])
+        alpha = np.array([float(a) for a in _json_array(manifest, "alpha", str)])
         kernels = tuple(KernelSpec.from_dict(k) for k in _json_array(manifest, "kernels"))
         for spec in kernels:
             if spec.kind not in KERNEL_KINDS:
@@ -239,7 +239,7 @@ def load_model(path) -> KmsaModel:
         return KmsaModel(
             coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
             alpha=alpha,
-            objective_trace=tuple(float(g) for g in _json_array(manifest, "objective_trace")),
+            objective_trace=tuple(float(g) for g in _json_array(manifest, "objective_trace", str)),
             embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
             config=KmsaConfig.from_dict(manifest["config"]),
             kernels=kernels,

@@ -122,10 +122,11 @@ def secular_smallest(lam, Z, d: int):
         else:
             return dense()
 
-    # roots within 1e-8 relative share one G, whose null vectors there are orthogonal
+    # roots within 1e-8 relative share one G, whose null vectors there are
+    # orthogonal; with every root apart, that G is the last one Newton evaluated
     apart = np.r_[True, np.diff(x) > 1e-8 * np.abs(x[1:])]
-    lead = np.maximum.accumulate(np.where(apart, idx, 0))
-    D, _, Y = gram(x[lead])
+    if not apart.all():
+        D, _, Y = gram(x[np.maximum.accumulate(np.where(apart, idx, 0))])
     X, _ = np.linalg.qr(D.T * (Z @ Y[idx, :, col].T))
     XZ = X.T @ Z
     w, S = np.linalg.eigh(X.T @ (lam[:, None] * X) - XZ @ XZ.T)

@@ -3,7 +3,9 @@ and the ridged constraint matrix.
 
 Every recipe keeps S's diagonal at zero (self-similarity never contributes to
 the pairwise objective) and yields symmetric S, so P = E - S with
-E = diag(row sums) has rows summing to zero.
+E = diag(row sums) has rows summing to zero. The spp recipe's lasso codes
+follow one homotopy path per column; the paths of a block of columns run in
+lockstep, one event per path per pass.
 """
 
 from __future__ import annotations
@@ -51,13 +53,15 @@ def lpp_graph(X: np.ndarray, k: int, heat) -> GraphPair:
         raise GraphError("heat parameter must be positive")
     sq = pairwise_sq_dists(X)
     away = sq.copy()
-    np.fill_diagonal(away, np.inf)  # self sorts last; ties keep their order
-    order = np.argsort(away, axis=0, kind="stable")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[order[:k], np.arange(n)] = True
+    np.fill_diagonal(away, np.inf)  # self is never its own neighbor
+    # column j's k nearest: every row closer than its k-th distance, then the
+    # rows at that distance, lowest index first, as a stable sort orders them
+    kth = np.partition(away, k - 1, axis=0)[k - 1]
+    near, tie = away < kth, away == kth
+    adj = near | (tie & (np.cumsum(tie, axis=0) <= k - near.sum(axis=0)))
     adj |= adj.T  # the OR rule keeps the graph symmetric
-    S = np.where(adj, np.exp(-sq / t), 0.0)
-    np.fill_diagonal(S, 0.0)
+    S = np.zeros((n, n))
+    S[adj] = np.exp(-sq[adj] / t)
     return GraphPair(S=S, B=np.diag(S.sum(axis=1)))
 
 
@@ -86,71 +90,113 @@ def lda_graph(labels) -> GraphPair:
     return GraphPair(S=S, B=B)
 
 
-SIDES = np.array([[1.0], [-1.0]])  # the two boundaries, +level and -level
+SIDES = np.array([1.0, -1.0])[:, None, None]  # the two boundaries, +level and -level
+_BLOCK = 64  # paths run together, so a pass's temporaries stay O(N * _BLOCK)
 
 
-def _lasso_path(A: np.ndarray, y: np.ndarray, lam: float, max_steps: int):
-    """min_c 0.5 ||y - A c||^2 + lam ||c||_1 by the LARS-lasso homotopy (Efron et
-    al., 2004): from c = 0 at level = max |A^T y| down to lam, active coefficients
-    move along G^{-1} sign (G their Gram), holding their correlations on the
-    boundary; a step ends where a correlation reaches it or a coefficient reaches 0."""
-    p = A.shape[1]
-    # boundaries +-level * w_j with w_j - 1 <= 1e-11: ties between correlations
-    # become distinct events, so zero-length joins and drops cannot cycle
-    w = 1.0 + 1e-11 * np.arange(p) / p
-    c, sign, blocked, in_span = np.zeros(p), np.zeros(p), np.zeros(p), np.zeros(p, bool)
-    active, joined = np.zeros(0, dtype=int), False
-    corr = A.T @ y
-    level = (np.abs(corr) / w).max(initial=0.0)
+def _lasso_block(X: np.ndarray, G: np.ndarray, cols: np.ndarray, lam: float, max_steps: int):
+    """Lasso codes of the columns cols of X (G = X^T X) and their finished flags,
+    by homotopy paths run in lockstep: every pass takes one event on each path
+    still running.
+
+    Path i minimizes 0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i = 0 by the
+    LARS-lasso homotopy (Efron et al., 2004): from c = 0 at level = max_j |x_j^T x_i|
+    down to lam, active coefficients move along G_A^{-1} (w_A sign_A), holding
+    their correlations on the boundary; a step ends where a correlation reaches
+    it or a coefficient reaches 0. Arrays hold one path per column."""
+    n, rows = X.shape[1], np.arange(X.shape[1])[:, None]
+    own = rows == cols  # c_i stays 0: row i is never free to join path i
+    # boundaries +-level * w_j with w_j - 1 <= 1e-11 by j's position among the
+    # other columns: ties between correlations become distinct events, so
+    # zero-length joins and drops cannot cycle
+    w = 1.0 + 1e-11 * (rows - (rows > cols)) / max(n - 1, 1)
+    Y, c, sign, blocked = X[:, cols], *np.zeros((3, n, cols.size))
+    corr, in_span = X.T @ Y, own.copy()
+    level = np.where(own, 0.0, np.abs(corr) / w).max(axis=0, initial=0.0)
+    joined, finished = np.zeros((2, cols.size), dtype=bool)
+    newest, live, codes = np.zeros(cols.size, dtype=int), np.arange(cols.size), np.zeros(c.shape)
     for _ in range(max_steps):
-        A_act = A[:, active]
-        gram = A_act.T @ A_act
-        d = np.linalg.solve(gram, w[active] * sign[active])
-        if joined:
-            joined, j = False, active[-1]
-            # refuse a join that moves j's coefficient against its sign, as re-joining
-            # where it just dropped would; j stays off that side till the set changes
-            if sign[j] * d[-1] <= 0.0:
-                active, blocked[j], sign[j] = active[:-1], sign[j], 0.0
-                continue
-            blocked[:] = 0.0
-        rate = w - SIDES * (A.T @ (A_act @ d))  # how fast level * w -+ corr closes
+        if not live.size:
+            break
+        # each path's active rows idx[p, :size[p]], padded with row 0; the
+        # padding's identity block in the Gram solves to 0
+        active = sign != 0.0
+        size = active.sum(axis=0)
+        path, row = np.nonzero(active.T)
+        slot = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
+        idx = np.zeros((live.size, size.max(initial=0)), dtype=int)
+        idx[path, slot] = row
+        pad = np.arange(idx.shape[1]) >= size[:, None]
+        gram = G[idx[:, :, None], idx[:, None, :]]
+        gram = np.where(pad[:, :, None] | pad[:, None, :], np.eye(idx.shape[1]), gram)
+        at = (idx, np.arange(live.size)[:, None])
+        rhs = np.where(pad, 0.0, w[at] * sign[at])
+        step = np.zeros((n, live.size))
+        step[row, path] = np.linalg.solve(gram, rhs[..., None])[path, slot, 0]
+        moving = np.ones(live.size, dtype=bool)
+        if joined.any():
+            p = np.flatnonzero(joined)
+            j = newest[p]
+            # refuse a join that moves j's coefficient against its sign, as
+            # re-joining where it just dropped would; j stays off that side
+            # till the set changes, and the path's pass ends here
+            refused = sign[j, p] * step[j, p] <= 0.0
+            blocked[:, p[~refused]] = 0.0
+            p, j = p[refused], j[refused]
+            blocked[j, p], sign[j, p], step[:, p], moving[p] = sign[j, p], 0.0, 0.0, False
+            joined[:] = False
+        rate = w - SIDES * (X.T @ (X @ step))  # how fast level * w -+ corr closes
         free = (rate > 0.0) & (blocked != SIDES) & ~in_span & (sign == 0.0)
         gap = np.maximum(level * w - SIDES * corr, 0.0)
-        t_join = np.divide(gap, rate, out=np.full((2, p), np.inf), where=free)
-        t_drop, shrink = np.full(p, np.inf), sign[active] * d < 0.0
-        t_drop[active[shrink]] = -c[active[shrink]] / d[shrink]
-        t = min(level - lam, t_join.min(initial=np.inf), t_drop.min(initial=np.inf))
+        t_join = np.where(free, gap, np.inf) / np.where(free, rate, 1.0)
+        shrink = sign * step < 0.0
+        t_drop = np.where(shrink, -c, np.inf) / np.where(shrink, step, 1.0)
+        join_min, drop_min = t_join.min(axis=(0, 1)), t_drop.min(axis=0)
+        t = np.where(moving, np.minimum(level - lam, np.minimum(join_min, drop_min)), 0.0)
         # an active coefficient never crosses 0, not even by rounding
-        c[active] = sign[active] * np.maximum(sign[active] * (c[active] + t * d), 0.0)
-        if t == level - lam:
-            return c, True
-        level -= t
-        if t == t_drop.min(initial=np.inf):
-            k = np.argmin(t_drop)
-            active, in_span[:], blocked[:] = active[active != k], False, 0.0
-            c[k] = sign[k] = 0.0
-        else:
-            side, j = divmod(np.argmin(t_join), p)
-            resid = A[:, j] - A_act @ np.linalg.solve(gram, A_act.T @ A[:, j])
-            if resid @ resid <= 1e-18 * (A[:, j] @ A[:, j]):  # A[:, j] is in the span
-                in_span[j] = True  # until a drop shrinks the span
-            else:
-                active, sign[j], joined = np.append(active, j), SIDES[side, 0], True
-        corr = A.T @ (y - A @ c)
-    return c, False
+        c = sign * np.maximum(sign * (c + t * step), 0.0)
+        ended = moving & (t == level - lam)
+        level = level - t
+        drop = moving & ~ended & (t == drop_min)
+        if drop.any():
+            p = np.flatnonzero(drop)
+            k = t_drop[:, p].argmin(axis=0)
+            c[k, p] = sign[k, p] = blocked[:, p] = 0.0
+            in_span[:, p] = own[:, p]
+        join = moving & ~ended & ~drop
+        if join.any():
+            p = np.flatnonzero(join)
+            side, j = np.divmod(t_join[:, :, p].reshape(2 * n, p.size).argmin(axis=0), n)
+            z = np.linalg.solve(gram[p], np.where(pad[p], 0.0, G[idx[p], j[:, None]])[..., None])
+            resid = X[:, j] - np.einsum("dpk,pk->dp", X[:, idx[p]], z[..., 0])
+            norms = np.einsum("dp,dp->p", resid, resid), np.einsum("dp,dp->p", X[:, j], X[:, j])
+            spanned = norms[0] <= 1e-18 * norms[1]  # x_j is in the span of the active x
+            in_span[j[spanned], p[spanned]] = True  # until a drop shrinks the span
+            p, j, side = p[~spanned], j[~spanned], side[~spanned]
+            sign[j, p], joined[p], newest[p] = SIDES[side, 0, 0], True, j
+        if ended.any():
+            codes[:, live[ended]], finished[live[ended]] = c[:, ended], True
+            state = live, own, w, Y, c, sign, blocked, in_span, level, joined, newest
+            live, own, w, Y, c, sign, blocked, in_span, level, joined, newest = (
+                a[..., ~ended] for a in state
+            )
+        corr = X.T @ (Y - X @ c)
+    codes[:, live] = c
+    return codes, finished
 
 
 def sparse_codes(X: np.ndarray, lam: float, max_steps: int):
     """Column i of M minimizes 0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i = 0, exactly,
-    by its own homotopy path. Returns (M, finished); finished[i] is False when
-    that path hit max_steps events before reaching lam."""
+    by its own homotopy path; the paths of up to _BLOCK columns run in lockstep.
+    Returns (M, finished); finished[i] is False when that path hit max_steps
+    events before reaching lam."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
+    G = X.T @ X
     M, finished = np.zeros((n, n)), np.zeros(n, dtype=bool)
-    for i in range(n):
-        others = np.arange(n) != i
-        M[others, i], finished[i] = _lasso_path(X[:, others], X[:, i], lam, max_steps)
+    for start in range(0, n, _BLOCK):
+        cols = np.arange(start, min(start + _BLOCK, n))
+        M[:, cols], finished[cols] = _lasso_block(X, G, cols, lam, max_steps)
     return M, finished
 
 

@@ -5,10 +5,12 @@ package code it checks: the generalized eigensolver oracle reduces through a
 spectral inverse square root instead of a Cholesky factor, the kernel PCA
 oracle is a plain eigendecomposition of the centered Gram matrix, the lasso
 oracle is a refining grid search, the lasso reference solves one column at a
-time with scalar coordinate updates, the simplex oracle is an exhaustive
-grid scan, the quadratic, trace and objective references form the dense
-N x N matrices H_v, K P K and J_v that the optimizer avoids, and the
-retrieval reference ranks and scores one query at a time.
+time with scalar coordinate updates, the lasso path reference follows one
+column's homotopy at a time where the package runs a block of columns in
+lockstep, the simplex oracle is an exhaustive grid scan, the quadratic, trace
+and objective references form the dense N x N matrices H_v, K P K and J_v
+that the optimizer avoids, and the retrieval reference ranks and scores one
+query at a time.
 """
 
 import numpy as np
@@ -76,6 +78,61 @@ def lasso_cd_reference(A, y, lam, max_iters, tol=1e-6):
             max_delta = max(max_delta, abs(new - old))
         if max_delta <= tol:
             return c, True
+    return c, False
+
+
+SIDES = np.array([[1.0], [-1.0]])  # the two boundaries, +level and -level
+
+
+def lasso_path_reference(A: np.ndarray, y: np.ndarray, lam: float, max_steps: int):
+    """min_c 0.5 ||y - A c||^2 + lam ||c||_1 by the LARS-lasso homotopy (Efron et
+    al., 2004): from c = 0 at level = max |A^T y| down to lam, active coefficients
+    move along G^{-1} sign (G their Gram), holding their correlations on the
+    boundary; a step ends where a correlation reaches it or a coefficient reaches 0."""
+    p = A.shape[1]
+    # boundaries +-level * w_j with w_j - 1 <= 1e-11: ties between correlations
+    # become distinct events, so zero-length joins and drops cannot cycle
+    w = 1.0 + 1e-11 * np.arange(p) / p
+    c, sign, blocked, in_span = np.zeros(p), np.zeros(p), np.zeros(p), np.zeros(p, bool)
+    active, joined = np.zeros(0, dtype=int), False
+    corr = A.T @ y
+    level = (np.abs(corr) / w).max(initial=0.0)
+    for _ in range(max_steps):
+        A_act = A[:, active]
+        gram = A_act.T @ A_act
+        d = np.linalg.solve(gram, w[active] * sign[active])
+        if joined:
+            joined, j = False, active[-1]
+            # refuse a join that moves j's coefficient against its sign, as re-joining
+            # where it just dropped would; j stays off that side till the set changes
+            if sign[j] * d[-1] <= 0.0:
+                active, blocked[j], sign[j] = active[:-1], sign[j], 0.0
+                continue
+            blocked[:] = 0.0
+        rate = w - SIDES * (A.T @ (A_act @ d))  # how fast level * w -+ corr closes
+        free = (rate > 0.0) & (blocked != SIDES) & ~in_span & (sign == 0.0)
+        gap = np.maximum(level * w - SIDES * corr, 0.0)
+        t_join = np.divide(gap, rate, out=np.full((2, p), np.inf), where=free)
+        t_drop, shrink = np.full(p, np.inf), sign[active] * d < 0.0
+        t_drop[active[shrink]] = -c[active[shrink]] / d[shrink]
+        t = min(level - lam, t_join.min(initial=np.inf), t_drop.min(initial=np.inf))
+        # an active coefficient never crosses 0, not even by rounding
+        c[active] = sign[active] * np.maximum(sign[active] * (c[active] + t * d), 0.0)
+        if t == level - lam:
+            return c, True
+        level -= t
+        if t == t_drop.min(initial=np.inf):
+            k = np.argmin(t_drop)
+            active, in_span[:], blocked[:] = active[active != k], False, 0.0
+            c[k] = sign[k] = 0.0
+        else:
+            side, j = divmod(np.argmin(t_join), p)
+            resid = A[:, j] - A_act @ np.linalg.solve(gram, A_act.T @ A[:, j])
+            if resid @ resid <= 1e-18 * (A[:, j] @ A[:, j]):  # A[:, j] is in the span
+                in_span[j] = True  # until a drop shrinks the span
+            else:
+                active, sign[j], joined = np.append(active, j), SIDES[side, 0], True
+        corr = A.T @ (y - A @ c)
     return c, False
 
 

@@ -205,9 +205,14 @@ class TestModelPersistence:
         ("objective_trace", "123"),
         ("log", "oops"),
         ("log", [1, 2]),
-    ], ids=["alpha", "objective-trace", "log", "log-entries"])
+        ("alpha", [True, False]),
+        ("objective_trace", [False]),
+        ("alpha", [0.5, 0.5]),
+    ], ids=["alpha", "objective-trace", "log", "log-entries", "alpha-bool",
+            "objective-trace-bool", "alpha-number"])
     def test_string_in_place_of_an_array_rejected(self, tmp_path, key, value):
-        # a string is not the array of its characters
+        # a string is not the array of its characters; nor are entries other
+        # than the strings save_model writes accepted (float(True) is 1.0)
         _, model = self.fitted()
         save_model(model, tmp_path / "m")
         path = tmp_path / "m" / "manifest.json"

@@ -183,6 +183,28 @@ def test_secular_smallest_solves_densely_when_newton_hits_its_cap(monkeypatch):
     assert np.allclose(w, ref[:2], rtol=1e-13, atol=0)
 
 
+def test_secular_smallest_evaluates_g_once_per_point(monkeypatch):
+    # with the roots apart, the Ritz step takes G's null vectors from Newton's
+    # last evaluation instead of evaluating G there again
+    rng = np.random.default_rng(0)
+    lam, Z = rng.standard_normal(10), 3.0 * rng.standard_normal((10, 4))
+    points, real_eigh = [], np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        if a.ndim == 3:  # G at a batch of points
+            points.append(a.copy())
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(eigsolver, "NEWTON_MIN_N", 0)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    w, X = secular_smallest(lam, Z, 2)
+    assert points
+    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+    ref = np.linalg.eigvalsh(np.diag(lam) - Z @ Z.T)
+    assert ref[1] - ref[0] > 1e-3 * np.abs(ref).max()  # the roots are apart
+    assert np.allclose(w, ref[:2], rtol=1e-13, atol=0)
+
+
 def test_secular_smallest_solves_below_the_crossover_densely(monkeypatch):
     rng = np.random.default_rng(1)
     lam, Z = rng.standard_normal(10), 3.0 * rng.standard_normal((10, 4))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kmsa import GraphError, KernelSpec, NumericError, build_kernel
+from kmsa import GraphError, KernelSpec, NumericError, build_kernel, graphs
 from kmsa.eigsolver import cholesky_factor
 from kmsa.graphs import (
     constraint_matrix,
@@ -16,7 +16,12 @@ from kmsa.graphs import (
 )
 from kmsa.kernels import pairwise_sq_dists
 
-from oracles import lasso_cd_reference, lasso_grid_oracle, lasso_objective
+from oracles import (
+    lasso_cd_reference,
+    lasso_grid_oracle,
+    lasso_objective,
+    lasso_path_reference,
+)
 
 
 def lasso(A, y, lam, max_iters):
@@ -110,7 +115,7 @@ class TestLppGraph:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(2, 40),  # past 16, where NumPy's sorts stop being stable anyway
+        n=st.integers(2, 120),  # past 16, where NumPy's unstable sorts change method
         k_frac=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -205,6 +210,16 @@ EDGE_CASES = [
 ]
 
 
+# Integer data whose lasso codes are not unique, so a path that keeps a
+# refused column blocked after a drop still ends at a lasso solution, but at
+# another one than the per-column reference path.
+DROP_CASE = (
+    np.array([[-2, 1, -2, 1, -2, -1], [-1, -1, 1, -2, 2, 1], [-2, 0, 1, 0, 1, 0],
+              [-2, 1, 1, 2, -1, 0]], dtype=float),
+    0.003, 200,
+)
+
+
 def relative_gap(A, y, c, lam):
     """Lasso duality gap of c at the dual point mu r (r = y - A c, mu scaled so
     that ||A^T mu r||_inf <= lam), written so that no term is a difference of
@@ -260,6 +275,40 @@ class TestSparseCodes:
             assert np.all(np.abs(grad[others]) <= lam + eps[others])
             active = M[:, i] != 0.0
             assert np.all(np.abs(grad - lam * np.sign(M[:, i]))[active] <= eps[active])
+
+    @settings(max_examples=150, deadline=None)
+    @given(coding_problems(), st.integers(1, 5) | st.just(500), st.integers(1, 13))
+    @example(EDGE_CASES[0], 500, 64)
+    @example(EDGE_CASES[1], 500, 64)
+    @example(EDGE_CASES[2], 500, 64)
+    @example(EDGE_CASES[2], 3, 5)
+    @example(DROP_CASE, 500, 64)
+    def test_lockstep_paths_match_per_column_reference(self, problem, cap, block):
+        # every path of a block takes one event per pass; each must end where
+        # its own path run alone ends, capped (cap <= 5) or not, whatever
+        # block the column falls in. Codes agree to 1e-9 of max|M|, or of 1
+        # (a code that rebuilds x_i from a column of its size) when all are
+        # smaller: at lam == max|x_j^T x_i| the exact codes are 0, and one
+        # route may round them to 1e-16
+        X, lam, _ = problem
+        n = X.shape[1]
+        # a copy of an active column never joins in exact arithmetic, but its
+        # join time is level * (w_j - w_a) / (w_j - w_a), a ratio of 1e-11
+        # differences; rounding may put it before the path's next event on
+        # either route, so a capped path can end one event apart
+        nonzero = [tuple(col) for col in X.T if col.any()]
+        assume(cap == 500 or len(set(nonzero)) == len(nonzero))
+        want, want_finished = np.zeros((n, n)), np.zeros(n, dtype=bool)
+        for i in range(n):
+            others = np.arange(n) != i
+            want[others, i], want_finished[i] = lasso_path_reference(
+                X[:, others], X[:, i], lam, cap
+            )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_BLOCK", block)
+            M, finished = sparse_codes(X, lam, cap)
+        assert np.array_equal(finished, want_finished)
+        assert np.abs(M - want).max() <= 1e-9 * max(np.abs(want).max(), 1.0)
 
 
 class TestSppGraph:
