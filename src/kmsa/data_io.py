@@ -2,10 +2,15 @@
 
 File conventions: matrices are plain CSV with one sample per row; an optional
 header row is detected by a non-numeric first cell. Floats serialize with 17
-significant digits, which round-trips IEEE doubles exactly. A model is a
-directory holding manifest.json (sorted keys, with a format-version field)
-and per view v the coefficient matrix coefficients_<v>.csv and the training
-embedding embedding_<v>.csv, plus an optional train/ dataset.
+significant digits, which round-trips IEEE doubles exactly. A matrix is
+written with one %-format over a repeated row template and read with
+np.loadtxt. A file that loadtxt rejects, or that holds a non-finite value, is
+read again one cell at a time with float(): that parser accepts every spelling
+float() accepts (digit-group underscores, non-ASCII digits) and words every
+FormatError. A model is a directory holding manifest.json (sorted keys, with a
+format-version field) and per view v the coefficient matrix
+coefficients_<v>.csv and the training embedding embedding_<v>.csv, plus an
+optional train/ dataset.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ def format_float(x: float) -> str:
 def write_matrix_csv(path, A: np.ndarray, header=None) -> None:
     """Write a matrix with one row per line; rows of A are file rows."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    lines = []
+    row = ",".join(["%.17g"] * A.shape[1]) + "\n"
+    text = (row * A.shape[0]) % tuple(A.ravel().tolist())
     if header is not None:
-        lines.append(",".join(header))
-    for row in A:
-        lines.append(",".join(format_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = ",".join(header) + "\n" + text
+    # a file with neither header nor rows is one empty line
+    Path(path).write_text(text or "\n", encoding="utf-8")
 
 
 def _parse_cell(text: str, path, row: int, col: int) -> float:
@@ -65,6 +70,20 @@ def read_matrix_csv(path) -> np.ndarray:
         float(lines[0].split(",")[0])
     except ValueError:
         start = 1  # header row sniffed
+    if start == len(lines):
+        raise FormatError(f"{path}: no data rows")
+    try:
+        A = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        A = None
+    if A is None or not np.isfinite(A).all():
+        A = _parse_rows(lines, start, path)
+    return A
+
+
+def _parse_rows(lines, start, path) -> np.ndarray:
+    """lines[start:] parsed one cell at a time; FormatError names the first
+    ragged row or bad cell (1-based file row and column)."""
     rows = []
     width = None
     for i, line in enumerate(lines[start:], start=start + 1):
@@ -76,8 +95,6 @@ def read_matrix_csv(path) -> np.ndarray:
                 f"{path}: ragged row {i} has {len(cells)} cells, expected {width}"
             )
         rows.append([_parse_cell(c, path, i, j + 1) for j, c in enumerate(cells)])
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
 
 

@@ -1,18 +1,19 @@
 """Symmetric-definite generalized eigensolvers.
 
-A view's pencil (K P K, M) is reduced once per fit by the Cholesky-Wilkinson
-congruence: factor M = L L^T, whiten K P K to L^{-1} K P K L^{-T} with two
-triangular solves and diagonalize that with LAPACK's MRRR driver (?syevr).
-Each update lowers the pencil by a rank-k coupling, so in the resulting
-M-orthonormal eigenbasis it is diag(lam) - Z Z^T, whose d smallest pairs
-secular_smallest finds from a k x k secular equation or, below NEWTON_MIN_N
-rows, by a dense subset solve. Every pair is checked against the pencil
-itself (check_pairs). generalized_eigh solves one pencil directly, with a
-subset solve of its whitened matrix. Ordering (ascending eigenvalues) and the
-sign convention (largest-magnitude entry of each vector positive, ties to the
-lowest index) are part of the contract so downstream embeddings and golden
-files are reproducible. Bases of repeated eigenvalues are not unique; compare
-subspace projectors, not raw vectors.
+A pencil (H, M) is solved by one LAPACK call (pencil_eigh): ?sygv* factors
+M = L L^T, reduces H to L^{-1} H L^{-T}, solves that and back-substitutes, so
+the vectors come out M-orthonormal. A fit diagonalizes each view's pencil
+(K P K, M) in full that way (?sygvd, divide and conquer). Each update lowers
+the pencil by a rank-k coupling, so in the resulting M-orthonormal eigenbasis
+it is diag(lam) - Z Z^T, whose d smallest pairs secular_smallest finds from a
+k x k secular equation or, below NEWTON_MIN_N rows, by a dense subset solve.
+Every pair is checked against the pencil itself (check_pairs).
+generalized_eigh solves one pencil directly, with a subset solve (?sygvx).
+Ordering (ascending eigenvalues) and the sign convention (largest-magnitude
+entry of each vector positive, ties to the lowest index) are part of the
+contract so downstream embeddings and golden files are reproducible. Bases of
+repeated eigenvalues are not unique; compare subspace projectors, not raw
+vectors.
 """
 
 from __future__ import annotations
@@ -35,22 +36,19 @@ def fix_signs(V: np.ndarray) -> np.ndarray:
     return np.where(peak < 0, -V, V)
 
 
-def cholesky_factor(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of M = L L^T; NumericError unless M is definite."""
+def pencil_eigh(H: np.ndarray, M: np.ndarray, **options):
+    """scipy.linalg.eigh(H, M, **options) for symmetric H and M, one ?sygv*
+    call. NumericError when M is not positive definite; any other LinAlgError
+    (a convergence failure) is raised unchanged."""
     try:
-        return sla.cholesky(M, lower=True)
+        return sla.eigh(H, M, **options)
     except sla.LinAlgError as exc:
+        if "not positive definite" not in str(exc):
+            raise
         raise NumericError(
             "constraint matrix is not positive definite even after the ridge; "
             "raise the ridge or center/rescale the data"
         ) from exc
-
-
-def whiten(L: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """L^{-1} S L^{-T} for symmetric S, symmetrized, by two triangular solves."""
-    X = sla.solve_triangular(L, S, lower=True)
-    A = sla.solve_triangular(L, X.T, lower=True)
-    return 0.5 * (A + A.T)
 
 
 def check_pairs(w, HV, MV, h_norm: float) -> None:
@@ -143,8 +141,7 @@ def generalized_eigh(H: np.ndarray, M_ridge: np.ndarray, d: int):
     H, M = np.asarray(H, dtype=float), np.asarray(M_ridge, dtype=float)
     if not (1 <= d <= H.shape[0]):
         raise NumericError(f"requested {d} eigenpairs from an order-{H.shape[0]} pencil")
-    L = cholesky_factor(M)
-    w, Q = sla.eigh(whiten(L, H), subset_by_index=[0, d - 1], driver="evr")
-    V = fix_signs(sla.solve_triangular(L, Q, lower=True, trans="T"))
+    w, V = pencil_eigh(H, M, subset_by_index=[0, d - 1], driver="gvx")
+    V = fix_signs(V)
     check_pairs(w, H @ V, M @ V, float(np.linalg.norm(H, "fro")))
     return w, V

@@ -235,8 +235,9 @@ def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
     ridge * (trace/N) * I.
 
     The trace-scaled ridge keeps the generalized eigenproblem definite without
-    distorting well-conditioned cases. M is not checked here: its Cholesky
-    factorization (eigsolver.cholesky_factor) is the definiteness check.
+    distorting well-conditioned cases. M is not checked here: the Cholesky
+    factorization inside its pencil's solve (eigsolver.pencil_eigh) is the
+    definiteness check.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]

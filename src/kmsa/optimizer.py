@@ -28,9 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .eigsolver import check_pairs, cholesky_factor, fix_signs, secular_smallest, whiten
+from .eigsolver import check_pairs, fix_signs, pencil_eigh, secular_smallest
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
 from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
@@ -42,10 +41,11 @@ TRACE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ViewState:
-    """Per-view constants of a fit: kernel K, the eigenvalues lam of the pencil
-    (K P K, M) with M the ridged constraint, its M-orthonormal eigenvectors B
-    (B^T M B = I, B^T K P K B = diag(lam)), E = M B, so that K P K =
-    E diag(lam) E^T and M = E E^T, and kpk_sq = ||K P K||_F^2."""
+    """Per-view constants of a fit, from one LAPACK call (view_state): kernel
+    K, the eigenvalues lam of the pencil (K P K, M) with M the ridged
+    constraint, its M-orthonormal eigenvectors B (B^T M B = I,
+    B^T K P K B = diag(lam)), E = M B, so that K P K = E diag(lam) E^T and
+    M = E E^T, and kpk_sq = ||K P K||_F^2. Neither K P K nor M is kept."""
 
     K: np.ndarray
     lam: np.ndarray
@@ -59,14 +59,16 @@ class ViewState:
         return self.lam @ (F * F)
 
 
-def view_state(K, KPK, L) -> ViewState:
+def view_state(K, KPK, M) -> ViewState:
     """A view's constants from its kernel, symmetric graph quadratic KPK and
-    the lower Cholesky factor L of its constraint: one full ?syevr of the
-    whitened quadratic L^{-1} KPK L^{-T} = Q diag(lam) Q^T, then
-    B = L^{-T} Q and E = L Q."""
-    lam, Q = sla.eigh(whiten(L, KPK), driver="evr")
-    B = sla.solve_triangular(L, Q, lower=True, trans="T")
-    return ViewState(K=K, lam=lam, B=B, E=L @ Q, kpk_sq=float(np.sum(KPK * KPK)))
+    ridged constraint M: one full ?sygvd of the pencil (KPK, M) gives lam and
+    B, then E = M B. The solve overwrites KPK, so pass a copy you no longer
+    need."""
+    kpk_sq = float(np.sum(KPK * KPK))
+    # LAPACK works in place on a Fortran-ordered matrix; KPK.T is one, and
+    # the same matrix since KPK is symmetric
+    lam, B = pencil_eigh(KPK.T, M, driver="gvd", overwrite_a=True)
+    return ViewState(K=K, lam=lam, B=B, E=M @ B, kpk_sq=kpk_sq)
 
 
 def trace_parts(views, Us) -> tuple:
@@ -177,7 +179,7 @@ def closed_form_weights(traces: np.ndarray, r: float):
 
 
 def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
-    """Kernels, constraint factors and whitened graph quadratics for every view."""
+    """Kernels and diagonalized kernel pencils for every view."""
     m = data.n_views
     specs = [
         resolve_kernel_spec(X, spec)
@@ -192,14 +194,16 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
 
 
 def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, notes: list):
-    """A view's kernel K, symmetrized K P K and constraint factor L; the graph
+    """A view's kernel K, symmetrized K P K and ridged constraint M; the graph
     goes out of scope here, before view_state diagonalizes."""
     K = build_kernel(X, spec, center=cfg.center_kernel)
     pair = build_graph(X, labels, recipe)
     notes.extend(pair.notes)
+    M = constraint_matrix(K, pair.B, cfg.ridge)
     KPK = K @ laplacian(pair.S) @ K
-    L = cholesky_factor(constraint_matrix(K, pair.B, cfg.ridge))
-    return K, 0.5 * (KPK + KPK.T), L
+    KPK += KPK.T  # symmetrized in place: numpy buffers the overlapping operand
+    KPK *= 0.5
+    return K, KPK, M
 
 
 def fit(

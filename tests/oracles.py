@@ -2,18 +2,22 @@
 
 Each oracle deliberately takes a different computational route than the
 package code it checks: the generalized eigensolver oracle reduces through a
-spectral inverse square root instead of a Cholesky factor, the kernel PCA
+spectral inverse square root instead of a Cholesky factor, the whitening
+reference factors and solves in separate steps where the package makes one
+LAPACK call, the kernel PCA
 oracle is a plain eigendecomposition of the centered Gram matrix, the lasso
 oracle is a refining grid search, the lasso reference solves one column at a
 time with scalar coordinate updates, the lasso path reference follows one
 column's homotopy at a time where the package runs a block of columns in
 lockstep, the simplex oracle is an exhaustive grid scan, the quadratic, trace
 and objective references form the dense N x N matrices H_v, K P K and J_v
-that the optimizer avoids, and the retrieval reference ranks and scores one
-query at a time.
+that the optimizer avoids, the retrieval reference ranks and scores one
+query at a time, and the CSV references format and parse one cell at a time
+where the package handles a whole matrix at once.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from kmsa import EvalError
 
@@ -29,6 +33,18 @@ def gen_eig_oracle(H, M, d):
     w, Y = np.linalg.eigh(A)
     V = inv_sqrt @ Y[:, :d]
     return w[:d], V
+
+
+def cholesky_factor(M):
+    """Lower Cholesky factor L of M = L L^T."""
+    return sla.cholesky(M, lower=True)
+
+
+def whiten(L, S):
+    """L^{-1} S L^{-T} for symmetric S, symmetrized, by two triangular solves."""
+    X = sla.solve_triangular(L, S, lower=True)
+    A = sla.solve_triangular(L, X.T, lower=True)
+    return 0.5 * (A + A.T)
 
 
 def kpca_oracle(K_centered, d):
@@ -245,6 +261,20 @@ def dense_objective_terms(Ks, Ps, Us, alpha, r, kappa, eta):
         "alignment": align,
     }
     return terms, scale
+
+
+def matrix_csv_reference(A, header=None) -> str:
+    """The text of a matrix CSV, one 17-digit cell at a time: an optional
+    header line, then one line per row of A, each line ending in a newline."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in A]
+    return "\n".join(lines) + "\n"
+
+
+def csv_cells_reference(rows):
+    """The matrix of float(cell) over the comma-separated cells of each row."""
+    return np.array([[float(c) for c in row.split(",")] for row in rows], dtype=float)
 
 
 def average_precision(relevant_mask: np.ndarray) -> float:

@@ -1,7 +1,12 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kmsa import (
     FormatError,
@@ -23,6 +28,38 @@ from kmsa.data_io import (
     save_report,
     write_matrix_csv,
 )
+
+from oracles import csv_cells_reference, matrix_csv_reference
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-308, -1e-308,
+               1e308, -1e308, 1.7976931348623157e308]
+# every double, non-finite ones included, with the edge values drawn often
+ANY_FLOAT = st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+FINITE_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+HEADER = st.none() | st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True),
+                              min_size=1, max_size=4)
+CSV_SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def cell_texts(draw):
+    """A cell that float() reads, in the spellings a CSV file may hold: 17
+    digits, repr, exponent form, padding, digit-group underscores, fullwidth
+    digits."""
+    x = draw(FINITE_FLOAT)
+    n = draw(st.integers(-10**9, 10**9))
+    text = draw(st.sampled_from([
+        f"{x:.17g}", repr(x), f"{x:.6e}", f"{x:.17g}".upper(), f"{n:_}",
+        str(n).translate({ord(c): 0xFF10 + int(c) for c in "0123456789"}),
+    ]))
+    pad = draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+    return draw(st.sampled_from([text, pad + text, text + pad, pad + text + pad]))
+
+
+def bits(A):
+    return np.asarray(A, dtype=float).view(np.int64)
 
 
 class TestMatrixCsv:
@@ -60,6 +97,97 @@ class TestMatrixCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_matrix_csv(tmp_path / "absent.csv")
+
+    @CSV_SETTINGS
+    @given(
+        A=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                     elements=ANY_FLOAT),
+        header=HEADER,
+    )
+    @example(A=np.array([EDGE_FLOATS]), header=None)
+    @example(A=np.array([EDGE_FLOATS]).T, header=["x"])
+    @example(A=np.zeros((0, 3)), header=None)
+    @example(A=np.zeros((0, 0)), header=["a", "b"])
+    @example(A=np.zeros((3, 0)), header=None)
+    def test_written_bytes_match_per_cell_writer(self, tmp_path, A, header):
+        path = tmp_path / "w.csv"
+        write_matrix_csv(path, A, header)
+        assert path.read_bytes() == matrix_csv_reference(A, header).encode("utf-8")
+
+    @pytest.mark.parametrize("A", [np.array(-0.0), np.array([1.5, -0.0, 5e-324])])
+    def test_fewer_than_two_dimensions_write_one_row(self, tmp_path, A):
+        path = tmp_path / "w.csv"
+        write_matrix_csv(path, A)
+        assert path.read_bytes() == matrix_csv_reference(A).encode("utf-8")
+        assert np.array_equal(bits(read_matrix_csv(path)), bits(np.atleast_2d(A)))
+
+    @CSV_SETTINGS
+    @given(
+        A=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                     elements=FINITE_FLOAT),
+        header=HEADER,
+    )
+    def test_round_trip_keeps_every_bit(self, tmp_path, A, header):
+        path = tmp_path / "r.csv"
+        write_matrix_csv(path, A, header)
+        assert np.array_equal(bits(read_matrix_csv(path)), bits(A))
+
+    @CSV_SETTINGS
+    @given(
+        cells=st.integers(1, 5).flatmap(
+            lambda c: st.lists(st.lists(cell_texts(), min_size=c, max_size=c),
+                               min_size=1, max_size=5)
+        ),
+        header=st.booleans(),
+    )
+    def test_read_values_match_per_cell_float(self, tmp_path, cells, header):
+        rows = [",".join(row) for row in cells]
+        path = tmp_path / "c.csv"
+        path.write_text("".join(f"{ln}\n" for ln in (["a"] if header else []) + rows),
+                        encoding="utf-8")
+        assert np.array_equal(bits(read_matrix_csv(path)), bits(csv_cells_reference(rows)))
+
+    @pytest.mark.parametrize("text, want", [
+        ("1_000,2\n", [[1000.0, 2.0]]),
+        ("\uff11\uff12,3\n", [[12.0, 3.0]]),
+        (" 1.5 ,\t-2 \n 3, 4e1\n", [[1.5, -2.0], [3.0, 40.0]]),
+    ])
+    def test_cells_that_only_float_accepts(self, tmp_path, text, want):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_matrix_csv(path).tolist() == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3,nan\n", "non-finite cell at row 2, column 2"),
+        ("h1,h2\n1,2\n-inf,4\n", "non-finite cell at row 3, column 1"),
+        ("1,2\n3,1e400\n", "non-finite cell at row 2, column 2"),
+        ("1,2\n3\n4,5\n", "ragged row 2 has 1 cells, expected 2"),
+        ("h\n1,2\n3,4,5\n", "ragged row 3 has 3 cells, expected 2"),
+        ("1,nan\n3\n", "non-finite cell at row 1, column 2"),
+        ("1,2\n3,x\n", "non-numeric cell at row 2, column 2: 'x'"),
+        ("1,,2\n", "non-numeric cell at row 1, column 2: ''"),
+        ("h1,h2\n", "no data rows"),
+        ("\n \n", "empty file"),
+    ])
+    def test_malformed_files_name_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_matrix_csv(path)
+
+    def test_no_warning_escapes(self, tmp_path):
+        texts = ["h1,h2\n", "h1,h2\n1,2\n", "1,2\n", "1,nan\n", "1,1e400\n", "1,2\n3\n",
+                 "1_0\n"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i, text in enumerate(texts):
+                path = tmp_path / f"{i}.csv"
+                path.write_text(text, encoding="utf-8")
+                try:
+                    read_matrix_csv(path)
+                except FormatError:
+                    pass
+        assert [str(w.message) for w in caught] == []
 
 
 class TestLoadDataset:

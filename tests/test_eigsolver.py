@@ -99,6 +99,19 @@ def test_indefinite_constraint_rejected():
         generalized_eigh(H, np.zeros((3, 3)), 1)
 
 
+def test_convergence_failure_is_not_reported_as_indefinite(rng, monkeypatch):
+    # only a failed factorization of M asks for a larger ridge
+    def failing_eigh(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("2 eigenvectors failed to converge.")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    H, M = random_pencil(rng, 5)
+    with pytest.raises(scipy.linalg.LinAlgError, match="failed to converge") as info:
+        generalized_eigh(H, M, 2)
+    assert not isinstance(info.value, NumericError)
+    assert "ridge" not in str(info.value)
+
+
 def test_bad_d_rejected():
     with pytest.raises(NumericError):
         generalized_eigh(np.eye(3), np.eye(3), 4)

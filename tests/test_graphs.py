@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kmsa import GraphError, KernelSpec, NumericError, build_kernel, graphs
-from kmsa.eigsolver import cholesky_factor
+from kmsa.eigsolver import pencil_eigh
 from kmsa.graphs import (
     constraint_matrix,
     laplacian,
@@ -403,4 +403,4 @@ class TestLaplacianAndConstraint:
     def test_degenerate_kernel_rejected(self):
         K = np.zeros((3, 3))
         with pytest.raises(NumericError, match="raise the ridge"):
-            cholesky_factor(constraint_matrix(K, pca_graph(3).B, ridge=1e-8))
+            pencil_eigh(K, constraint_matrix(K, pca_graph(3).B, ridge=1e-8))

@@ -21,7 +21,7 @@ from kmsa import (
     transform,
 )
 from kmsa import eigsolver
-from kmsa.eigsolver import cholesky_factor, fix_signs, generalized_eigh, whiten
+from kmsa.eigsolver import fix_signs, generalized_eigh
 from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
 from kmsa.optimizer import (
@@ -39,11 +39,13 @@ from kmsa.optimizer import (
 from conftest import random_dataset
 from oracles import (
     build_h,
+    cholesky_factor,
     dense_objective_terms,
     dense_trace_terms,
     kpca_oracle,
     simplex_oracle,
     weight_objective,
+    whiten,
 )
 
 
@@ -57,8 +59,8 @@ def pca_p(n):
 
 def hand_state(K, P, M):
     """A view's optimizer constants from a kernel, graph quadratic and
-    constraint, factored and whitened as fit does."""
-    return view_state(K, sym(K @ P @ K), cholesky_factor(M))
+    constraint, diagonalized as fit does."""
+    return view_state(K, sym(K @ P @ K), M)
 
 
 def make_state(rng, m=2, n=6, d=2):
@@ -68,9 +70,9 @@ def make_state(rng, m=2, n=6, d=2):
     for v in range(m):
         X = rng.standard_normal((3, n))
         K = build_kernel(X, KernelSpec())
-        L = cholesky_factor(constraint_matrix(K, pca_graph(n).B, ridge=1e-6))
+        M = constraint_matrix(K, pca_graph(n).B, ridge=1e-6)
         Us.append(rng.standard_normal((n, d)))
-        views.append(view_state(K, sym(K @ pca_p(n) @ K), L))
+        views.append(view_state(K, sym(K @ pca_p(n) @ K), M))
     return views, Us, np.full(m, 1.0 / m)
 
 
@@ -268,7 +270,7 @@ def update_problems(draw):
         B = np.eye(n) if draw(st.booleans()) else None
         kpk = sym(K @ laplacian(S) @ K)
         M = constraint_matrix(K, B, cfg.ridge)
-        views.append(view_state(K, kpk, cholesky_factor(M)))
+        views.append(view_state(K, kpk.copy(), M))  # the solve overwrites it
         Us.append(rng.standard_normal((n, cfg.d)))
         kpks.append(kpk)
         Ms.append(M)
@@ -392,19 +394,21 @@ class TestCachedUpdate:
             fit(data, cfg)
 
     def test_each_view_is_factored_once_per_fit(self, rng, monkeypatch):
+        # the constraint is factored inside the one generalized eigh call that
+        # diagonalizes each view's pencil
         calls = []
-        real_cholesky = scipy.linalg.cholesky
+        real_eigh = scipy.linalg.eigh
 
-        def counting_cholesky(*args, **kwargs):
-            calls.append(1)
-            return real_cholesky(*args, **kwargs)
+        def counting_eigh(a, b=None, *args, **kwargs):
+            calls.append(b is not None)
+            return real_eigh(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         data = random_dataset(rng, m=3, n=15)
         cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp", k=4), max_iters=5, tol=1e-300)
         model = fit(data, cfg)
         assert len(model.objective_trace) == 6
-        assert len(calls) == 3
+        assert calls.count(True) == 3
 
     @pytest.mark.parametrize("n", [15, 150])
     def test_each_view_is_diagonalized_once_per_fit_at_every_n(self, rng, monkeypatch, n):
