@@ -6,7 +6,8 @@ the vectors come out M-orthonormal. A fit diagonalizes each view's pencil
 (K P K, M) in full that way (?sygvd, divide and conquer). Each update lowers
 the pencil by a rank-k coupling, so in the resulting M-orthonormal eigenbasis
 it is diag(lam) - Z Z^T, whose d smallest pairs secular_smallest finds from a
-k x k secular equation or, below NEWTON_MIN_N rows, by a dense subset solve.
+k x k secular equation or, below NEWTON_MIN_N rows, by a dense subset solve
+whose vectors are checked for orthonormality.
 Every pair is checked against the pencil itself (check_pairs).
 generalized_eigh solves one pencil directly, with a subset solve (?sygvx).
 Ordering (ascending eigenvalues) and the sign convention (largest-magnitude
@@ -27,6 +28,8 @@ from .errors import NumericError
 SECULAR_MAX_ITERS = 50
 # below this order a dense subset solve costs less than Newton's fixed cost
 NEWTON_MIN_N = 150
+# a dense subset solve's vectors are kept while max |X^T X - I| stays below this
+ORTHO_TOL = 1e-12
 
 
 def fix_signs(V: np.ndarray) -> np.ndarray:
@@ -75,8 +78,11 @@ def secular_smallest(lam, Z, d: int):
     upper bound; the vectors (diag(lam) - x)^{-1} Z y, y in G's null space,
     get one d x d Rayleigh-Ritz step. Below NEWTON_MIN_N rows, or unless d
     eigenvalues lie clearly below min(lam) and Newton settles, a dense ?syevr
-    subset solve is used instead. Z == 0 needs neither: the pairs are lam's
-    d smallest entries (ties to the lower index) and unit vectors.
+    subset solve is used instead. Its inverse iteration can lose orthogonality
+    inside a cluster of eigenvalues, so its vectors are checked (O(N d^2)) and,
+    only when X^T X strays from I by more than ORTHO_TOL, the matrix is solved
+    in full by ?syevd. Z == 0 needs neither: the pairs are lam's d smallest
+    entries (ties to the lower index) and unit vectors.
     """
     n, k = Z.shape
     if not Z.any():
@@ -91,7 +97,12 @@ def secular_smallest(lam, Z, d: int):
         return D, *np.linalg.eigh((Z.T * D[:, None, :]) @ Z - np.eye(k))
 
     def dense():
-        return sla.eigh(np.diag(lam) - Z @ Z.T, subset_by_index=[0, d - 1], driver="evr")
+        T = np.diag(lam) - Z @ Z.T
+        w, X = sla.eigh(T, subset_by_index=[0, d - 1], driver="evr")
+        if np.abs(X.T @ X - np.eye(d)).max() > ORTHO_TOL:
+            w, X = sla.eigh(T, driver="evd")
+            w, X = w[:d], X[:, :d]
+        return w, X
 
     if n < NEWTON_MIN_N or k < d:
         return dense()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, GraphError
-from .kernels import median_heuristic_bandwidth, pairwise_sq_dists
+from .kernels import Distances
 from .types import MEDIAN, GraphRecipe
 
 
@@ -40,25 +40,29 @@ def pca_graph(n: int) -> GraphPair:
     return GraphPair(S=S, B=None)
 
 
-def lpp_graph(X: np.ndarray, k: int, heat) -> GraphPair:
+def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> GraphPair:
     """Heat-kernel weights exp(-||x_i - x_j||^2 / t) on the symmetric kNN
     graph (edge when i is among j's k nearest or vice versa); B is the degree
-    matrix of S."""
+    matrix of S. dists, X's Distances when the caller shares them, give the
+    squared distances and the median heat; their diagonal is marked while the
+    neighbors are picked and then restored."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if not 1 <= k < n:
         raise GraphError(f"neighbor count must satisfy 1 <= k < N, got k={k}, N={n}")
-    t = float(median_heuristic_bandwidth(X) ** 2 if heat == MEDIAN else heat)
+    dists = Distances(X) if dists is None else dists
+    t = float(dists.median ** 2 if heat == MEDIAN else heat)
     if t <= 0:
         raise GraphError("heat parameter must be positive")
-    sq = pairwise_sq_dists(X)
-    away = sq.copy()
-    np.fill_diagonal(away, np.inf)  # self is never its own neighbor
+    sq = dists.sq
+    own = sq.diagonal().copy()
+    np.fill_diagonal(sq, np.inf)  # self is never its own neighbor
     # column j's k nearest: every row closer than its k-th distance, then the
     # rows at that distance, lowest index first, as a stable sort orders them
-    kth = np.partition(away, k - 1, axis=0)[k - 1]
-    near, tie = away < kth, away == kth
-    adj = near | (tie & (np.cumsum(tie, axis=0) <= k - near.sum(axis=0)))
+    kth = np.partition(sq, k - 1, axis=0)[k - 1].copy()  # frees the partitioned copy
+    near, tie = sq < kth, sq == kth
+    adj = near | (tie & (np.cumsum(tie, axis=0, dtype=np.int32) <= k - near.sum(axis=0)))
+    np.fill_diagonal(sq, own)
     adj |= adj.T  # the OR rule keeps the graph symmetric
     S = np.zeros((n, n))
     S[adj] = np.exp(-sq[adj] / t)
@@ -81,12 +85,13 @@ def lda_graph(labels) -> GraphPair:
         raise GraphError(
             f"class ids {missing.tolist()} have no members after 0..C-1 compaction"
         )
-    same = labels[:, None] == labels[None, :]
-    delta = np.where(same, 1.0, -1.0)
-    S = delta / counts[labels][:, None]
-    S = 0.5 * (S + S.T)
+    S = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
+    S /= counts[labels][:, None]
+    S += S.T  # in place: numpy buffers the overlapping operand
+    S *= 0.5
     np.fill_diagonal(S, 0.0)
-    B = np.eye(n) - np.full((n, n), 1.0 / n)
+    B = np.full((n, n), -1.0 / n)
+    B.flat[:: n + 1] += 1.0
     return GraphPair(S=S, B=B)
 
 
@@ -225,15 +230,22 @@ def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
 
 
 def laplacian(S: np.ndarray) -> np.ndarray:
-    """P = E - S with E = diag(row sums of S); rows of P sum to zero."""
+    """P = E - S with E = diag(row sums of S), computed in place: S is
+    negated and the row sums are added to its diagonal, so the caller's float
+    S becomes P. Rows of P sum to zero."""
     S = np.asarray(S, dtype=float)
-    return np.diag(S.sum(axis=1)) - S
+    rows = S.sum(axis=1)
+    np.subtract(0.0, S, out=S)  # 0 - s, not -s: a zero stays +0
+    S.flat[:: S.shape[0] + 1] += rows
+    return S
 
 
 def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
     """Ridged constraint M = (K B K, or K when B is None), symmetrized, plus
     ridge * (trace/N) * I.
 
+    M is a new matrix, built in place: the product (or a copy of K) is
+    symmetrized as M += M^T, M *= 0.5, and the ridge is added to its diagonal.
     The trace-scaled ridge keeps the generalized eigenproblem definite without
     distorting well-conditioned cases. M is not checked here: the Cholesky
     factorization inside its pencil's solve (eigsolver.pencil_eigh) is the
@@ -241,18 +253,23 @@ def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    M = K if B is None else K @ B @ K
-    M = 0.5 * (M + M.T)
-    return M + ridge * (np.trace(M) / n) * np.eye(n)
+    M = K.copy() if B is None else K @ B @ K
+    M += M.T  # in place: numpy buffers the overlapping operand
+    M *= 0.5
+    M.flat[:: n + 1] += ridge * (np.trace(M) / n)
+    return M
 
 
-def build_graph(X: np.ndarray, labels, recipe: GraphRecipe) -> GraphPair:
-    """Dispatch a recipe to its construction."""
+def build_graph(
+    X: np.ndarray, labels, recipe: GraphRecipe, dists: Distances | None = None
+) -> GraphPair:
+    """Dispatch a recipe to its construction; dists, X's kernels.Distances,
+    reach the lpp graph."""
     n = np.asarray(X).shape[1]
     if recipe.kind == "pca":
         return pca_graph(n)
     if recipe.kind == "lpp":
-        return lpp_graph(X, recipe.k, recipe.heat)
+        return lpp_graph(X, recipe.k, recipe.heat, dists)
     if recipe.kind == "lda":
         if labels is None:
             raise GraphError("lda graph recipe requires labels")

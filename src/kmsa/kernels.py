@@ -2,14 +2,17 @@
 
 The Gaussian kernel uses k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); the
 bandwidth defaults to the median of pairwise distances so synthetic
-experiments are scale-free. A fit's kernel is cross_kernel of the training
-set against itself, symmetrized, so fit and transform share one path;
-centering, off by default, makes it H K H with H = I - (1/N) 11^T.
+experiments are scale-free. A fit's kernel is the training set's kernel
+columns against itself, as cross_kernel computes them, symmetrized, so fit and
+transform share one path; centering, off by default, makes it H K H with
+H = I - (1/N) 11^T. A fit reads each view's squared distances from one
+Distances, shared with the median bandwidth and the lpp graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,34 +31,65 @@ def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def median_heuristic_bandwidth(X: np.ndarray) -> float:
-    """Median of the N(N-1)/2 pairwise distances; 1.0 when all points coincide."""
+class Distances:
+    """Squared Euclidean distances between the columns of one view and their
+    median distance, each computed on first use. A fit hands one to the
+    view's kernel, its median bandwidth and its graph, so they all read one
+    N x N matrix and at most one median."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = np.asarray(X, dtype=float)
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        return pairwise_sq_dists(self.X)
+
+    @cached_property
+    def median(self) -> float:
+        return median_heuristic_bandwidth(self.X, self.sq)
+
+
+def median_heuristic_bandwidth(X: np.ndarray, sq: np.ndarray | None = None) -> float:
+    """Median of the N(N-1)/2 pairwise distances; 1.0 when all points coincide.
+    sq, X's pairwise_sq_dists when the caller has them, spares recomputing them."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if n < 2:
         raise NumericError("median heuristic needs at least 2 samples")
-    sq = pairwise_sq_dists(X)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
+    sq = pairwise_sq_dists(X) if sq is None else sq
+    # a mask, not index arrays, and in place from the gather on: about N^2 / 2
+    # doubles besides sq
+    dist = sq[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
     return med if med > 0.0 else 1.0
 
 
-def resolve_kernel_spec(X: np.ndarray, spec: KernelSpec) -> KernelSpec:
-    """Make the spec concrete: replace a median-heuristic bandwidth with its value."""
+def resolve_kernel_spec(
+    X: np.ndarray, spec: KernelSpec, dists: Distances | None = None
+) -> KernelSpec:
+    """Make the spec concrete: replace a median-heuristic bandwidth with its
+    value, taken from dists (X's Distances) when given."""
     if spec.kind == "gaussian" and spec.bandwidth == MEDIAN:
-        return replace(spec, bandwidth=median_heuristic_bandwidth(X))
+        med = median_heuristic_bandwidth(X) if dists is None else dists.median
+        return replace(spec, bandwidth=med)
     return spec
 
 
-def _raw_kernel(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def _raw_kernel(
+    X: np.ndarray, Y: np.ndarray, spec: KernelSpec, dists: Distances | None = None
+) -> np.ndarray:
     """k(x, y) for every column pair of X and Y, a median bandwidth resolved on
-    X. Raises NumericError if any entry is non-finite (overflow, bad input)."""
+    X; dists, X's Distances when Y is X, supply the squared distances. Raises
+    NumericError if any entry is non-finite (overflow, bad input)."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    spec = resolve_kernel_spec(X, spec)
+    spec = resolve_kernel_spec(X, spec, dists)
     # overflow surfaces as non-finite entries, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "gaussian":
-            K = np.exp(-pairwise_sq_dists(X, Y) / (2.0 * float(spec.bandwidth) ** 2))
+            K = -(pairwise_sq_dists(X, Y) if dists is None else dists.sq)
+            K /= 2.0 * float(spec.bandwidth) ** 2
+            np.exp(K, out=K)
         elif spec.kind == "linear":
             K = X.T @ Y
         elif spec.kind == "polynomial":
@@ -67,11 +101,16 @@ def _raw_kernel(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return K
 
 
-def build_kernel(X: np.ndarray, spec: KernelSpec, center: bool = False) -> np.ndarray:
-    """N x N kernel matrix of the view's columns: its cross_kernel columns
-    against itself, exactly symmetrized."""
-    K = cross_kernel(X, X, spec, center)
-    return 0.5 * (K + K.T)
+def build_kernel(
+    X: np.ndarray, spec: KernelSpec, center: bool = False, dists: Distances | None = None
+) -> np.ndarray:
+    """N x N kernel matrix of the view's columns: their kernel columns against
+    themselves, as cross_kernel computes them, exactly symmetrized. dists, X's
+    Distances, supply the squared distances a Gaussian kernel reads."""
+    K = _columns(X, X, spec, center, dists)
+    K += K.T  # in place: numpy buffers the overlapping operand
+    K *= 0.5
+    return K
 
 
 def cross_kernel(
@@ -83,9 +122,16 @@ def cross_kernel(
     kernel: H (k_new - (1/N) K_raw 1), which on the training samples
     themselves is H K H.
     """
-    Kc = _raw_kernel(X_train, X_new, spec)
+    return _columns(X_train, X_new, spec, center)
+
+
+def _columns(
+    X_train, X_new, spec: KernelSpec, center: bool, dists: Distances | None = None
+) -> np.ndarray:
+    """cross_kernel's columns; dists as in build_kernel."""
+    Kc = _raw_kernel(X_train, X_new, spec, dists)
     if center:
         K_raw = Kc if X_new is X_train else _raw_kernel(X_train, X_train, spec)
-        shifted = Kc - K_raw.mean(axis=1, keepdims=True)
-        Kc = shifted - shifted.mean(axis=0, keepdims=True)
+        Kc -= K_raw.mean(axis=1, keepdims=True)  # the mean is taken first
+        Kc -= Kc.mean(axis=0, keepdims=True)
     return Kc

@@ -32,7 +32,7 @@ import numpy as np
 from .eigsolver import check_pairs, fix_signs, pencil_eigh, secular_smallest
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
 from .graphs import build_graph, constraint_matrix, laplacian
-from .kernels import build_kernel, cross_kernel, resolve_kernel_spec
+from .kernels import Distances, build_kernel, cross_kernel, resolve_kernel_spec
 from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
 MONOTONE_SLACK = 1e-8
@@ -41,13 +41,13 @@ TRACE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ViewState:
-    """Per-view constants of a fit, from one LAPACK call (view_state): kernel
-    K, the eigenvalues lam of the pencil (K P K, M) with M the ridged
-    constraint, its M-orthonormal eigenvectors B (B^T M B = I,
-    B^T K P K B = diag(lam)), E = M B, so that K P K = E diag(lam) E^T and
-    M = E E^T, and kpk_sq = ||K P K||_F^2. Neither K P K nor M is kept."""
+    """Per-view constants of a fit, from one LAPACK call (view_state): the
+    eigenvalues lam of the pencil (K P K, M) with M the ridged constraint, its
+    M-orthonormal eigenvectors B (B^T M B = I, B^T K P K B = diag(lam)),
+    E = M B, so that K P K = E diag(lam) E^T and M = E E^T, and
+    kpk_sq = ||K P K||_F^2. Neither K, K P K nor M is kept: a view holds two
+    N x N matrices."""
 
-    K: np.ndarray
     lam: np.ndarray
     B: np.ndarray
     E: np.ndarray
@@ -59,16 +59,15 @@ class ViewState:
         return self.lam @ (F * F)
 
 
-def view_state(K, KPK, M) -> ViewState:
-    """A view's constants from its kernel, symmetric graph quadratic KPK and
-    ridged constraint M: one full ?sygvd of the pencil (KPK, M) gives lam and
-    B, then E = M B. The solve overwrites KPK, so pass a copy you no longer
-    need."""
+def view_state(KPK, M) -> ViewState:
+    """A view's constants from its pencil, the symmetric graph quadratic KPK
+    and the ridged constraint M: one full ?sygvd gives lam and B, then
+    E = M B. The solve overwrites KPK, so pass a copy you no longer need."""
     kpk_sq = float(np.sum(KPK * KPK))
     # LAPACK works in place on a Fortran-ordered matrix; KPK.T is one, and
     # the same matrix since KPK is symmetric
     lam, B = pencil_eigh(KPK.T, M, driver="gvd", overwrite_a=True)
-    return ViewState(K=K, lam=lam, B=B, E=M @ B, kpk_sq=kpk_sq)
+    return ViewState(lam=lam, B=B, E=M @ B, kpk_sq=kpk_sq)
 
 
 def trace_parts(views, Us) -> tuple:
@@ -179,31 +178,39 @@ def closed_form_weights(traces: np.ndarray, r: float):
 
 
 def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
-    """Kernels and diagonalized kernel pencils for every view."""
+    """Resolved kernel specs and diagonalized kernel pencils for every view,
+    one view at a time: a view's N x N temporaries are gone before the next
+    view's are built."""
     m = data.n_views
-    specs = [
-        resolve_kernel_spec(X, spec)
-        for X, spec in zip(data.views, cfg.kernels_for(m))
-    ]
-    notes = []
-    views = [
-        view_state(*_view_pencil(X, data.labels, spec, recipe, cfg, notes))
-        for X, spec, recipe in zip(data.views, specs, cfg.graphs_for(m))
-    ]
+    specs, views, notes = [], [], []
+    for X, spec, recipe in zip(data.views, cfg.kernels_for(m), cfg.graphs_for(m)):
+        spec, KPK, M = _view_pencil(X, data.labels, spec, recipe, cfg, notes)
+        specs.append(spec)
+        views.append(view_state(KPK, M))
+        del KPK, M
     return views, tuple(specs), notes
 
 
 def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, notes: list):
-    """A view's kernel K, symmetrized K P K and ridged constraint M; the graph
-    goes out of scope here, before view_state diagonalizes."""
-    K = build_kernel(X, spec, center=cfg.center_kernel)
-    pair = build_graph(X, labels, recipe)
+    """A view's resolved kernel spec, symmetrized K P K and ridged constraint
+    M. The graph, the median bandwidth and the kernel read one Distances,
+    computed when the first of them needs it, so a graph that reads no
+    distances runs before any exist. The distances, the graph and K go out
+    of scope here, before view_state diagonalizes, each as soon as its last
+    reader is done."""
+    dists = Distances(X)
+    pair = build_graph(X, labels, recipe, dists)
     notes.extend(pair.notes)
-    M = constraint_matrix(K, pair.B, cfg.ridge)
-    KPK = K @ laplacian(pair.S) @ K
+    spec = resolve_kernel_spec(X, spec, dists)
+    K = build_kernel(X, spec, center=cfg.center_kernel, dists=dists)
+    del dists
+    S, B = pair.S, pair.B
+    del pair
+    KPK = K @ laplacian(S) @ K
+    del S
     KPK += KPK.T  # symmetrized in place: numpy buffers the overlapping operand
     KPK *= 0.5
-    return K, KPK, M
+    return spec, KPK, constraint_matrix(K, B, cfg.ridge)
 
 
 def fit(
@@ -263,11 +270,18 @@ def fit(
         if abs(value - prev) <= cfg.tol * (1.0 + abs(prev)):
             break
 
+    # the eigenbases go before the kernels come back, one view at a time;
+    # build_kernel is deterministic, so each is the K the pencil was built from
+    del views
+    embeddings = tuple(
+        U.T @ build_kernel(X, spec, center=cfg.center_kernel)
+        for X, spec, U in zip(data.views, specs, Us)
+    )
     return KmsaModel(
         coefficients=tuple(Us),
         alpha=alpha,
         objective_trace=tuple(trace),
-        embeddings=tuple(U.T @ vs.K for vs, U in zip(views, Us)),
+        embeddings=embeddings,
         config=cfg,
         kernels=specs,
         log=tuple(log),

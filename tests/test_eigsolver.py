@@ -176,9 +176,12 @@ def test_secular_smallest_matches_dense_eigh(secular_choice, problem):
         P = V[:, :d] @ V[:, :d].T
         assert np.abs(X @ X.T - P).max() <= 1e-8
     # Newton finds only roots below min(lam); clear of it, it needs no dense
-    # solve
+    # solve. A dense solve is one subset call, followed by a full one exactly
+    # when the subset's vectors fail the orthogonality check
     if secular_choice == "dense" or ref[d - 1] >= lam.min():
-        assert dense_calls == [[0, d - 1]]
+        _, Xs = scipy.linalg.eigh(T, subset_by_index=[0, d - 1], driver="evr")
+        lost = np.abs(Xs.T @ Xs - np.eye(d)).max() > eigsolver.ORTHO_TOL
+        assert dense_calls == [[0, d - 1]] + ([None] if lost else [])
     elif ref[d - 1] < lam.min() - 1e-6 * scale:
         assert dense_calls == []
 
@@ -194,6 +197,29 @@ def test_secular_smallest_solves_densely_when_newton_hits_its_cap(monkeypatch):
     w, _ = secular_smallest(lam, Z, 2)
     assert calls == [[0, 1]]
     assert np.allclose(w, ref[:2], rtol=1e-13, atol=0)
+
+
+def test_secular_smallest_repairs_a_subset_solve_that_lost_orthogonality(monkeypatch):
+    # ?syevr's inverse iteration returns one vector of the four-fold
+    # eigenvalue 0 of this problem 7.6e-7 away from orthogonal; the check
+    # catches it and the full ?syevd solve replaces it
+    z = np.array([
+        0.09496623044701247, -0.15122249730931722, 0.1120559147905904,
+        -0.028348061685091176, -0.01821644635698943, -0.10537445689292138,
+        -0.16163187709831625, -0.046067794621498494, 0.07005435797112894,
+        0.028792565015962165, 0.08462394585966115,
+    ])
+    lam = np.array([0, 3, 0, -3, -2, -3, 2, 0, -2, 3, -2] * 2, dtype=float)
+    Z, d = scipy.linalg.block_diag(z[:, None], z[:, None]), 21
+    T = np.diag(lam) - Z @ Z.T
+    calls = record_eigh_calls(monkeypatch)
+    w, X = secular_smallest(lam, Z, d)
+    assert calls == [[0, d - 1], None]
+    ref = np.linalg.eigvalsh(T)
+    scale = np.abs(lam).max() + np.abs(ref).max()
+    assert np.abs(w - ref[:d]).max() <= 1e-13 * scale
+    assert np.abs(X.T @ X - np.eye(d)).max() <= 1e-12
+    assert np.linalg.norm(T @ X - X * w, axis=0).max() <= 1e-13 * scale
 
 
 def test_secular_smallest_evaluates_g_once_per_point(monkeypatch):

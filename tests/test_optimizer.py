@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,10 +22,11 @@ from kmsa import (
     generate_synthetic,
     transform,
 )
-from kmsa import eigsolver
+from kmsa import eigsolver, kernels
 from kmsa.eigsolver import fix_signs, generalized_eigh
 from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
 from kmsa.kernels import build_kernel
+from kmsa.types import MEDIAN
 from kmsa.optimizer import (
     MONOTONE_SLACK,
     closed_form_weights,
@@ -60,20 +63,22 @@ def pca_p(n):
 def hand_state(K, P, M):
     """A view's optimizer constants from a kernel, graph quadratic and
     constraint, diagonalized as fit does."""
-    return view_state(K, sym(K @ P @ K), M)
+    return view_state(sym(K @ P @ K), M)
 
 
 def make_state(rng, m=2, n=6, d=2):
     """Hand-assembled optimizer state over random Gaussian-kernel views with
-    the pca graph quadratic P = pca_p(n); returns (views, Us, alpha)."""
-    views, Us = [], []
+    the pca graph quadratic P = pca_p(n); returns (views, Us, alpha, Ks) with
+    the kernels Ks, which the view states do not keep."""
+    views, Us, Ks = [], [], []
     for v in range(m):
         X = rng.standard_normal((3, n))
         K = build_kernel(X, KernelSpec())
         M = constraint_matrix(K, pca_graph(n).B, ridge=1e-6)
         Us.append(rng.standard_normal((n, d)))
-        views.append(view_state(K, sym(K @ pca_p(n) @ K), M))
-    return views, Us, np.full(m, 1.0 / m)
+        views.append(view_state(sym(K @ pca_p(n) @ K), M))
+        Ks.append(K)
+    return views, Us, np.full(m, 1.0 / m), Ks
 
 
 def fitted_constraint(data, model, v):
@@ -88,10 +93,10 @@ def fitted_constraint(data, model, v):
 
 class TestObjective:
     def test_single_view_reduces_to_trace_plus_kappa(self, rng):
-        views, Us, _ = make_state(rng, m=1)
+        views, Us, _, Ks = make_state(rng, m=1)
         alpha = np.array([1.0])
         cfg = KmsaConfig(d=2)
-        K, U = views[0].K, Us[0]
+        K, U = Ks[0], Us[0]
         expected = np.trace(U.T @ K @ pca_p(6) @ K @ U) + cfg.kappa
         assert objective(*trace_parts(views, Us), alpha, cfg) == pytest.approx(
             expected, rel=1e-12
@@ -99,7 +104,7 @@ class TestObjective:
 
     def test_zero_coefficients_leave_only_regularizer(self, rng):
         m = 3
-        views, Us, alpha = make_state(rng, m=m)
+        views, Us, alpha, _ = make_state(rng, m=m)
         Us = [np.zeros_like(U) for U in Us]
         cfg = KmsaConfig(d=2)
         assert objective(*trace_parts(views, Us), alpha, cfg) == pytest.approx(
@@ -130,7 +135,7 @@ class TestObjective:
         )
 
     def test_decomposes_into_three_terms(self, rng):
-        views, Us, _ = make_state(rng, m=3, d=2)
+        views, Us, _, _ = make_state(rng, m=3, d=2)
         alpha = np.array([0.5, 0.3, 0.2])
         cfg = KmsaConfig(d=2)
         parts = trace_parts(views, Us)
@@ -196,15 +201,15 @@ class TestBuildH:
     """The dense reference quadratic that TestUpdateView compares against."""
 
     def test_single_view_is_bare_quadratic(self, rng):
-        views, Us, _ = make_state(rng, m=1)
-        K = views[0].K
+        views, Us, _, Ks = make_state(rng, m=1)
+        K = Ks[0]
         kpk = K @ pca_p(6) @ K
         H = build_h(kpk, Us, np.array([1.0]), 0, 3.0, -1.0)
         assert np.allclose(H, sym(kpk))
 
     def test_uniform_weights_coefficient(self, rng):
-        views, Us, alpha = make_state(rng, m=2)
-        K = views[0].K
+        views, Us, alpha, Ks = make_state(rng, m=2)
+        K = Ks[0]
         kpk = sym(K @ pca_p(6) @ K)
         H = build_h(kpk, Us, alpha, 0, 3.0, -1.0)
         coupling = H - kpk
@@ -212,8 +217,8 @@ class TestBuildH:
         assert np.allclose(coupling, -Us[1] @ Us[1].T, atol=1e-12)
 
     def test_skewed_weights_coefficient(self, rng):
-        views, Us, _ = make_state(rng, m=2)
-        K = views[0].K
+        views, Us, _, Ks = make_state(rng, m=2)
+        K = Ks[0]
         kpk = sym(K @ pca_p(6) @ K)
         H = build_h(kpk, Us, np.array([0.8, 0.2]), 0, 3.0, -1.0)
         coupling = H - kpk
@@ -233,17 +238,17 @@ class TestUpdateView:
             [[0, 0], [1, 0], [0, 0], [0, 1]], dtype=float), atol=1e-12)
 
     def test_repeated_call_is_identical(self, rng):
-        views, Us, alpha = make_state(rng, m=2, d=2)
+        views, Us, alpha, _ = make_state(rng, m=2, d=2)
         cfg = KmsaConfig(d=2)
         U1 = update_view(views, Us, alpha, 0, cfg)
         U2 = update_view(views, Us, alpha, 0, cfg)
         assert np.array_equal(U1, U2)
 
     def test_result_is_constraint_orthonormal(self, rng):
-        views, Us, alpha = make_state(rng, m=2, d=3, n=8)
+        views, Us, alpha, Ks = make_state(rng, m=2, d=3, n=8)
         cfg = KmsaConfig(d=3)
         U = update_view(views, Us, alpha, 1, cfg)
-        M = constraint_matrix(views[1].K, pca_graph(8).B, ridge=1e-6)  # as make_state
+        M = constraint_matrix(Ks[1], pca_graph(8).B, ridge=1e-6)  # as make_state
         assert np.abs(U.T @ M @ U - np.eye(3)).max() < 1e-8
 
 
@@ -270,7 +275,7 @@ def update_problems(draw):
         B = np.eye(n) if draw(st.booleans()) else None
         kpk = sym(K @ laplacian(S) @ K)
         M = constraint_matrix(K, B, cfg.ridge)
-        views.append(view_state(K, kpk.copy(), M))  # the solve overwrites it
+        views.append(view_state(kpk.copy(), M))  # the solve overwrites it
         Us.append(rng.standard_normal((n, cfg.d)))
         kpks.append(kpk)
         Ms.append(M)
@@ -379,7 +384,7 @@ class TestCachedUpdate:
     def test_residual_check_rejects_a_corrupt_eigenbasis(self, rng, secular_choice, corrupt):
         # the check reads the pencil from E and lam and the vectors from B, so
         # a cached basis that no longer matches them fails a coupled update
-        views, Us, alpha = make_state(rng, m=2, n=8, d=2)
+        views, Us, alpha, _ = make_state(rng, m=2, n=8, d=2)
         cfg = KmsaConfig(d=2)
         update_view(views, Us, alpha, 0, cfg)
         views[0] = corrupt(views[0])
@@ -645,6 +650,73 @@ class TestTransform:
         out = transform(model, data.views, data)
         for Y, Z in zip(model.embeddings, out):
             assert np.abs(Y - Z).max() < 1e-9
+
+
+class TestWorkingSet:
+    """A fit holds each view's eigenbasis (B and E, two N x N matrices) and
+    builds one view's pencil at a time; the kernels come back one at a time
+    for the embeddings, once the eigenbases are gone."""
+
+    @pytest.mark.parametrize("recipe", ["lpp", "lda"])
+    def test_peak_of_one_fit_in_n_squared_doubles(self, recipe):
+        # four views keep 8 N^2; the last view's pencil, its constraint's
+        # copy and the ?sygvd workspace bring the peak near 11 N^2
+        data = generate_synthetic(per_class=100, seed=3)
+        n = data.n_samples
+        cfg = KmsaConfig(d=4, graph=GraphRecipe(kind=recipe), max_iters=2)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeightDomainWarning)
+                fit(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * n * n) <= 11.5
+
+    def test_each_view_computes_its_distances_and_median_once(self, monkeypatch):
+        # the median bandwidth, the kernel, lpp's median heat and its
+        # neighbors share one distance matrix; the final kernel rebuild
+        # computes it again
+        calls = {"pairwise_sq_dists": 0, "median_heuristic_bandwidth": 0}
+        for name in calls:
+            real = getattr(kernels, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("kmsa") and (
+                    getattr(module, name, None) is real
+                ):
+                    monkeypatch.setattr(module, name, counting)
+        data = generate_synthetic(per_class=6, seed=1)
+        cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp"), max_iters=2)
+        assert cfg.kernel.bandwidth == MEDIAN and cfg.graph.heat == MEDIAN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightDomainWarning)
+            fit(data, cfg)
+        m = data.n_views
+        assert calls["median_heuristic_bandwidth"] <= m
+        assert calls["pairwise_sq_dists"] <= 2 * m
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("recipe", ["pca", "lpp", "lda", "spp"])
+    def test_embeddings_are_the_rebuilt_kernels_projections(self, recipe, center):
+        data = generate_synthetic(per_class=5, seed=2)
+        cfg = KmsaConfig(
+            d=2, graph=GraphRecipe(kind=recipe), max_iters=3, center_kernel=center
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit(data, cfg)
+        out = transform(model, data.views, data)
+        for X, spec, U, Y, Z in zip(
+            data.views, model.kernels, model.coefficients, model.embeddings, out
+        ):
+            assert np.array_equal(Y, U.T @ build_kernel(X, spec, center=center))
+            assert np.abs(Y - Z).max() <= 1e-9 * max(1.0, np.abs(Y).max())
 
 
 def test_gram_divergence_properties(rng):
