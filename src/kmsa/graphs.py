@@ -4,8 +4,9 @@ and the ridged constraint matrix.
 Every recipe keeps S's diagonal at zero (self-similarity never contributes to
 the pairwise objective) and yields symmetric S, so P = E - S with
 E = diag(row sums) has rows summing to zero. The spp recipe's lasso codes
-follow one homotopy path per column; the paths of a block of columns run in
-lockstep, one event per path per pass.
+follow one homotopy path per column; the paths of every spp view of a fit
+share one queue, and a block of them runs in lockstep, one event per path per
+pass, each ended path's slot refilled from the queue.
 """
 
 from __future__ import annotations
@@ -96,51 +97,125 @@ def lda_graph(labels) -> GraphPair:
 
 
 SIDES = np.array([1.0, -1.0])[:, None, None]  # the two boundaries, +level and -level
-_BLOCK = 64  # paths run together, so a pass's temporaries stay O(N * _BLOCK)
+# a pass's (N, paths) temporaries hold at most _BLOCK entries each: 64 paths at N = 400
+_BLOCK = 25_600
 
 
-def _lasso_block(X: np.ndarray, G: np.ndarray, cols: np.ndarray, lam: float, max_steps: int):
-    """Lasso codes of the columns cols of X (G = X^T X) and their finished flags,
-    by homotopy paths run in lockstep: every pass takes one event on each path
-    still running.
+def _next_events(w, corr, moved, level, free, c, sign, step):
+    """Each path's next join and next drop: the least time at which a
+    correlation free to join reaches its boundary +-level * w, and its
+    side * N + row; the least time at which an active coefficient, moving
+    along step, reaches 0, and its row. The (2, N, paths) temporaries end
+    here."""
+    t_join = SIDES * moved
+    rate = np.subtract(w, t_join, out=t_join)  # how fast level * w -+ corr closes
+    free = free & (rate > 0.0)
+    t_join = SIDES * corr
+    np.subtract(level * w, t_join, out=t_join)
+    np.maximum(t_join, 0.0, out=t_join)  # the gap, then the time it takes to close
+    np.copyto(t_join, np.inf, where=~free)
+    np.divide(t_join, rate, out=t_join, where=free)
+    t_join = t_join.reshape(2 * len(w), -1)
+    shrink = sign * step < 0.0
+    t_drop = np.where(shrink, -c, np.inf) / np.where(shrink, step, 1.0)
+    join_at, drop_at = t_join.argmin(axis=0), t_drop.argmin(axis=0)
+    paths = np.arange(c.shape[1])
+    return t_join[join_at, paths], join_at, t_drop[drop_at, paths], drop_at
 
-    Path i minimizes 0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i = 0 by the
-    LARS-lasso homotopy (Efron et al., 2004): from c = 0 at level = max_j |x_j^T x_i|
-    down to lam, active coefficients move along G_A^{-1} (w_A sign_A), holding
-    their correlations on the boundary; a step ends where a correlation reaches
-    it or a coefficient reaches 0. Arrays hold one path per column."""
-    n, rows = X.shape[1], np.arange(X.shape[1])[:, None]
-    own = rows == cols  # c_i stays 0: row i is never free to join path i
-    # boundaries +-level * w_j with w_j - 1 <= 1e-11 by j's position among the
-    # other columns: ties between correlations become distinct events, so
-    # zero-length joins and drops cannot cycle
-    w = 1.0 + 1e-11 * (rows - (rows > cols)) / max(n - 1, 1)
-    Y, c, sign, blocked = X[:, cols], *np.zeros((3, n, cols.size))
-    corr, in_span = X.T @ Y, own.copy()
-    level = np.where(own, 0.0, np.abs(corr) / w).max(axis=0, initial=0.0)
-    joined, finished = np.zeros((2, cols.size), dtype=bool)
-    newest, live, codes = np.zeros(cols.size, dtype=int), np.arange(cols.size), np.zeros(c.shape)
-    for _ in range(max_steps):
-        if not live.size:
+
+def lasso_codes(problems) -> list:
+    """The sparse_codes of several views of the same N samples, one
+    (X, lam, max_steps) problem per view: [(M, finished)] in problem order.
+
+    Every column's homotopy path joins one queue, view by view. Up to
+    _BLOCK // N paths run in lockstep, every pass taking one event on each,
+    and a path that ends hands its slot to the next pending column, so each
+    pass stays full until the queue drains. The running paths stay grouped by
+    view: a pass multiplies by each view's X once for all of that view's
+    paths, and reads that view's Gram, which is kept only while the view has
+    paths running.
+
+    Path i of a view minimizes 0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i = 0
+    by the LARS-lasso homotopy (Efron et al., 2004): from c = 0 at
+    level = max_j |x_j^T x_i| down to lam, active coefficients move along
+    G_A^{-1} (w_A sign_A), holding their correlations on the boundary; a step
+    ends where a correlation reaches it or a coefficient reaches 0. Arrays hold
+    one running path per column."""
+    if not problems:
+        return []
+    Xs = [np.asarray(X, dtype=float) for X, _, _ in problems]
+    n = Xs[0].shape[1]
+    if any(X.shape[1] != n for X in Xs):
+        raise GraphError("the views of one lasso queue must share their samples")
+    lams = np.array([lam for _, lam, _ in problems], dtype=float)
+    caps = np.array([cap for _, _, cap in problems], dtype=int)
+    codes, finished = np.zeros((len(Xs), n, n)), np.zeros((len(Xs), n), dtype=bool)
+    queued = np.flatnonzero(caps > 0)  # a path capped at 0 steps never runs
+    pending, head = (np.repeat(queued, n), np.tile(np.arange(n), queued.size)), 0
+    rows, width = np.arange(n)[:, None], max(1, _BLOCK // max(n, 1))
+    # every view's rows, bordered by a zero row and, at the padding index n, a
+    # zero column; rows_of[v] lists view v's rows, padded with the zero row
+    stacked = np.pad(np.vstack(Xs), ((0, 1), (0, 1)))
+    dims = np.array([X.shape[0] for X in Xs])
+    depth = np.arange(dims.max())
+    offset = np.cumsum(dims) - dims
+    rows_of = np.where(depth < dims[:, None], offset[:, None] + depth, dims.sum())
+    grams = {}
+    # per path: view, column, steps taken, the row it joined last pass (or -1);
+    # c, sign, blocked side, tie weights w; in_span; level
+    state = (np.zeros(0, dtype=int),) * 4 + (np.zeros((n, 0)),) * 4
+    state += np.zeros((n, 0), dtype=bool), np.zeros(0)
+    keep = np.zeros(0, dtype=bool)
+    while True:
+        new = min(width - np.count_nonzero(keep), pending[0].size - head)
+        changed = new or not keep.all()
+        if not keep.all():  # ended paths leave
+            state = tuple(a[..., keep] for a in state)
+        if new:  # pending columns take the free slots
+            state = tuple(
+                np.concatenate([a, np.zeros(a.shape[:-1] + (new,), a.dtype)], axis=-1)
+                for a in state
+            )
+        view, col, steps, newest, c, sign, blocked, w, in_span, level = state
+        if new:
+            view[-new:], col[-new:] = (q[head : head + new] for q in pending)
+            head += new
+            fresh = col[-new:]
+            newest[-new:] = -1
+            in_span[:, -new:] = rows == fresh  # c_i stays 0: row i never joins path i
+            # boundaries +-level * w_j with w_j - 1 <= 1e-11 by j's position among
+            # the other columns: ties between correlations become distinct
+            # events, so zero-length joins and drops cannot cycle
+            w[:, -new:] = 1.0 + 1e-11 * (rows - (rows > fresh)) / max(n - 1, 1)
+        if not view.size:
             break
-        # each path's active rows idx[p, :size[p]], padded with row 0; the
+        if changed:  # (v, slice of its paths) for each view v present
+            ends = np.cumsum(np.bincount(view, minlength=len(Xs))).tolist()
+            groups = [(v, slice(a, b)) for v, (a, b) in enumerate(zip([0, *ends], ends)) if b > a]
+            # the Gram of each view present, bordered by a zero row and column
+            # at the padding index n
+            grams = {
+                v: grams[v] if v in grams else np.pad(Xs[v].T @ Xs[v], (0, 1)) for v, _ in groups
+            }
+        # each path's active rows idx[p, :size[p]], padded with index n; the
         # padding's identity block in the Gram solves to 0
         active = sign != 0.0
         size = active.sum(axis=0)
         path, row = np.nonzero(active.T)
         slot = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
-        idx = np.zeros((live.size, size.max(initial=0)), dtype=int)
+        idx = np.full((view.size, size.max(initial=0)), n)
         idx[path, slot] = row
-        pad = np.arange(idx.shape[1]) >= size[:, None]
-        gram = G[idx[:, :, None], idx[:, None, :]]
-        gram = np.where(pad[:, :, None] | pad[:, None, :], np.eye(idx.shape[1]), gram)
-        at = (idx, np.arange(live.size)[:, None])
-        rhs = np.where(pad, 0.0, w[at] * sign[at])
-        step = np.zeros((n, live.size))
-        step[row, path] = np.linalg.solve(gram, rhs[..., None])[path, slot, 0]
-        moving = np.ones(live.size, dtype=bool)
-        if joined.any():
-            p = np.flatnonzero(joined)
+        gram = np.empty(idx.shape + idx.shape[1:])
+        for v, s in groups:
+            gram[s] = grams[v][idx[s, :, None], idx[s, None, :]]
+        gram.reshape(view.size, -1)[:, :: idx.shape[1] + 1] += idx == n
+        rhs = np.zeros(idx.shape + (1,))
+        rhs[path, slot, 0] = w[row, path] * sign[row, path]
+        step = np.zeros((n, view.size))
+        step[row, path] = np.linalg.solve(gram, rhs)[path, slot, 0]
+        moving = np.ones(view.size, dtype=bool)
+        p = np.flatnonzero(newest >= 0)
+        if p.size:
             j = newest[p]
             # refuse a join that moves j's coefficient against its sign, as
             # re-joining where it just dropped would; j stays off that side
@@ -149,14 +224,21 @@ def _lasso_block(X: np.ndarray, G: np.ndarray, cols: np.ndarray, lam: float, max
             blocked[:, p[~refused]] = 0.0
             p, j = p[refused], j[refused]
             blocked[j, p], sign[j, p], step[:, p], moving[p] = sign[j, p], 0.0, 0.0, False
-            joined[:] = False
-        rate = w - SIDES * (X.T @ (X @ step))  # how fast level * w -+ corr closes
-        free = (rate > 0.0) & (blocked != SIDES) & ~in_span & (sign == 0.0)
-        gap = np.maximum(level * w - SIDES * corr, 0.0)
-        t_join = np.where(free, gap, np.inf) / np.where(free, rate, 1.0)
-        shrink = sign * step < 0.0
-        t_drop = np.where(shrink, -c, np.inf) / np.where(shrink, step, 1.0)
-        join_min, drop_min = t_join.min(axis=(0, 1)), t_drop.min(axis=0)
+            newest[:] = -1
+        corr, moved = np.empty((2, n, view.size))
+        for v, s in groups:
+            X = Xs[v]
+            corr[:, s] = X.T @ (X[:, col[s]] - X @ c[:, s])
+            moved[:, s] = X.T @ (X @ step[:, s])
+        if new:
+            start = np.where(rows == fresh, 0.0, np.abs(corr[:, -new:]) / w[:, -new:])
+            level[-new:] = start.max(axis=0, initial=0.0)
+        free = (blocked != SIDES) & ~in_span & (sign == 0.0)
+        join_min, join_at, drop_min, drop_at = _next_events(
+            w, corr, moved, level, free, c, sign, step
+        )
+        del corr, moved
+        lam = lams[view]
         t = np.where(moving, np.minimum(level - lam, np.minimum(join_min, drop_min)), 0.0)
         # an active coefficient never crosses 0, not even by rounding
         c = sign * np.maximum(sign * (c + t * step), 0.0)
@@ -165,58 +247,57 @@ def _lasso_block(X: np.ndarray, G: np.ndarray, cols: np.ndarray, lam: float, max
         drop = moving & ~ended & (t == drop_min)
         if drop.any():
             p = np.flatnonzero(drop)
-            k = t_drop[:, p].argmin(axis=0)
+            k = drop_at[p]
             c[k, p] = sign[k, p] = blocked[:, p] = 0.0
-            in_span[:, p] = own[:, p]
+            in_span[:, p] = rows == col[p]
         join = moving & ~ended & ~drop
         if join.any():
             p = np.flatnonzero(join)
-            side, j = np.divmod(t_join[:, :, p].reshape(2 * n, p.size).argmin(axis=0), n)
-            z = np.linalg.solve(gram[p], np.where(pad[p], 0.0, G[idx[p], j[:, None]])[..., None])
-            resid = X[:, j] - np.einsum("dpk,pk->dp", X[:, idx[p]], z[..., 0])
-            norms = np.einsum("dp,dp->p", resid, resid), np.einsum("dp,dp->p", X[:, j], X[:, j])
+            side, j = np.divmod(join_at[p], n)
+            # x_j and the active x of each path, from its view's rows; the
+            # padding index reads the zero column
+            r = rows_of[view[p]]
+            xa, xj = stacked[r[:, :, None], idx[p, None, :]], stacked[r, j[:, None]]
+            z = np.linalg.solve(gram[p], np.einsum("pdk,pd->pk", xa, xj)[..., None])
+            resid = xj - np.einsum("pdk,pk->pd", xa, z[..., 0])
+            norms = np.einsum("pd,pd->p", resid, resid), np.einsum("pd,pd->p", xj, xj)
             spanned = norms[0] <= 1e-18 * norms[1]  # x_j is in the span of the active x
             in_span[j[spanned], p[spanned]] = True  # until a drop shrinks the span
             p, j, side = p[~spanned], j[~spanned], side[~spanned]
-            sign[j, p], joined[p], newest[p] = SIDES[side, 0, 0], True, j
-        if ended.any():
-            codes[:, live[ended]], finished[live[ended]] = c[:, ended], True
-            state = live, own, w, Y, c, sign, blocked, in_span, level, joined, newest
-            live, own, w, Y, c, sign, blocked, in_span, level, joined, newest = (
-                a[..., ~ended] for a in state
-            )
-        corr = X.T @ (Y - X @ c)
-    codes[:, live] = c
-    return codes, finished
+            sign[j, p], newest[p] = SIDES[side, 0, 0], j
+        steps += 1
+        state = view, col, steps, newest, c, sign, blocked, w, in_span, level
+        keep = ~ended & (steps < caps[view])  # a path leaves at lam or at its cap
+        if not keep.all():
+            done = ~keep
+            codes[view[done], :, col[done]] = c[:, done].T
+            finished[view[done], col[done]] = ended[done]
+    del grams  # before each view's codes are copied out of the stack
+    return [(M.copy(), f) for M, f in zip(codes, finished)]
 
 
 def sparse_codes(X: np.ndarray, lam: float, max_steps: int):
     """Column i of M minimizes 0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i = 0, exactly,
-    by its own homotopy path; the paths of up to _BLOCK columns run in lockstep.
+    by its own homotopy path, the paths run in lockstep by lasso_codes.
     Returns (M, finished); finished[i] is False when that path hit max_steps
     events before reaching lam."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    G = X.T @ X
-    M, finished = np.zeros((n, n)), np.zeros(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        cols = np.arange(start, min(start + _BLOCK, n))
-        M[:, cols], finished[cols] = _lasso_block(X, G, cols, lam, max_steps)
-    return M, finished
+    return lasso_codes([(X, lam, max_steps)])[0]
 
 
-def spp_graph(X: np.ndarray, lam: float, max_iters: int) -> GraphPair:
+def spp_graph(X: np.ndarray, lam: float, max_iters: int, codes=None) -> GraphPair:
     """Sparse-coding similarity (Qiao, Chen & Tan, 2010): column i of M is the
     exact lasso code of x_i by the other samples (self-coefficient fixed at 0,
     at most max_iters homotopy steps), then S = M + M^T + M^T M with the
-    diagonal zeroed; constraint is K."""
+    diagonal zeroed; constraint is K. codes, X's sparse_codes(X, lam,
+    max_iters) when the caller took them from a shared lasso_codes queue,
+    spare computing them here."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if n < 2:
         raise GraphError(f"need at least 2 samples, got {n}")
     if lam <= 0:
         raise GraphError("lasso weight must be positive")
-    M, finished = sparse_codes(X, lam, max_iters)
+    M, finished = sparse_codes(X, lam, max_iters) if codes is None else codes
     notes = tuple(
         f"lasso column {i} hit the {max_iters}-step homotopy cap before lasso_lambda"
         for i in np.flatnonzero(~finished)
@@ -261,10 +342,10 @@ def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
 
 
 def build_graph(
-    X: np.ndarray, labels, recipe: GraphRecipe, dists: Distances | None = None
+    X: np.ndarray, labels, recipe: GraphRecipe, dists: Distances | None = None, codes=None
 ) -> GraphPair:
     """Dispatch a recipe to its construction; dists, X's kernels.Distances,
-    reach the lpp graph."""
+    reach the lpp graph, and codes, X's lasso codes, the spp graph."""
     n = np.asarray(X).shape[1]
     if recipe.kind == "pca":
         return pca_graph(n)
@@ -275,5 +356,5 @@ def build_graph(
             raise GraphError("lda graph recipe requires labels")
         return lda_graph(labels)
     if recipe.kind == "spp":
-        return spp_graph(X, recipe.lasso_lambda, recipe.lasso_max_iters)
+        return spp_graph(X, recipe.lasso_lambda, recipe.lasso_max_iters, codes)
     raise GraphError(f"unknown graph recipe {recipe.kind!r}")

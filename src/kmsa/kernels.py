@@ -125,13 +125,30 @@ def cross_kernel(
     return _columns(X_train, X_new, spec, center)
 
 
+# training columns per block of a centered cross_kernel's row means: a block's
+# temporaries are a few N x _MEAN_COLUMNS matrices, not one N x N kernel
+_MEAN_COLUMNS = 64
+
+
 def _columns(
     X_train, X_new, spec: KernelSpec, center: bool, dists: Distances | None = None
 ) -> np.ndarray:
-    """cross_kernel's columns; dists as in build_kernel."""
+    """cross_kernel's columns; dists as in build_kernel. Centering reads the
+    row means of the training kernel from the columns themselves when X_new is
+    X_train, else sums them over blocks of training columns."""
+    spec = resolve_kernel_spec(X_train, spec, dists)
     Kc = _raw_kernel(X_train, X_new, spec, dists)
     if center:
-        K_raw = Kc if X_new is X_train else _raw_kernel(X_train, X_train, spec)
-        Kc -= K_raw.mean(axis=1, keepdims=True)  # the mean is taken first
+        if X_new is X_train:
+            means = Kc.mean(axis=1, keepdims=True)
+        else:
+            X_train = np.asarray(X_train, dtype=float)
+            n = X_train.shape[1]
+            means = np.zeros((n, 1))
+            for a in range(0, n, _MEAN_COLUMNS):
+                block = X_train[:, a : a + _MEAN_COLUMNS]
+                means += _raw_kernel(X_train, block, spec).sum(axis=1, keepdims=True)
+            means /= n
+        Kc -= means  # the mean is taken first
         Kc -= Kc.mean(axis=0, keepdims=True)
     return Kc

@@ -31,7 +31,7 @@ import numpy as np
 
 from .eigsolver import check_pairs, fix_signs, pencil_eigh, secular_smallest
 from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
-from .graphs import build_graph, constraint_matrix, laplacian
+from .graphs import build_graph, constraint_matrix, laplacian, lasso_codes
 from .kernels import Distances, build_kernel, cross_kernel, resolve_kernel_spec
 from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
@@ -178,28 +178,39 @@ def closed_form_weights(traces: np.ndarray, r: float):
 
 
 def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
-    """Resolved kernel specs and diagonalized kernel pencils for every view,
-    one view at a time: a view's N x N temporaries are gone before the next
+    """Resolved kernel specs and diagonalized kernel pencils for every view.
+    The lasso codes of every spp view come first, from one lasso_codes queue,
+    before any eigenbasis exists. The pencils follow one view at a time: a
+    view's N x N temporaries, its codes included, are gone before the next
     view's are built."""
     m = data.n_views
+    recipes = cfg.graphs_for(m)
+    spp = [v for v, recipe in enumerate(recipes) if recipe.kind == "spp"]
+    problems = [
+        (data.views[v], recipes[v].lasso_lambda, recipes[v].lasso_max_iters) for v in spp
+    ]
+    codes = dict(zip(spp, lasso_codes(problems)))
     specs, views, notes = [], [], []
-    for X, spec, recipe in zip(data.views, cfg.kernels_for(m), cfg.graphs_for(m)):
-        spec, KPK, M = _view_pencil(X, data.labels, spec, recipe, cfg, notes)
+    for v, (X, spec, recipe) in enumerate(zip(data.views, cfg.kernels_for(m), recipes)):
+        spec, KPK, M = _view_pencil(
+            X, data.labels, spec, recipe, cfg, notes, codes.pop(v, None)
+        )
         specs.append(spec)
         views.append(view_state(KPK, M))
         del KPK, M
     return views, tuple(specs), notes
 
 
-def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, notes: list):
+def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, notes: list, codes):
     """A view's resolved kernel spec, symmetrized K P K and ridged constraint
-    M. The graph, the median bandwidth and the kernel read one Distances,
-    computed when the first of them needs it, so a graph that reads no
-    distances runs before any exist. The distances, the graph and K go out
-    of scope here, before view_state diagonalizes, each as soon as its last
-    reader is done."""
+    M; codes are an spp view's lasso codes, else None. The graph, the median
+    bandwidth and the kernel read one Distances, computed when the first of
+    them needs it, so a graph that reads no distances runs before any exist.
+    The codes, the distances, the graph and K go out of scope here, before
+    view_state diagonalizes, each as soon as its last reader is done."""
     dists = Distances(X)
-    pair = build_graph(X, labels, recipe, dists)
+    pair = build_graph(X, labels, recipe, dists, codes)
+    del codes
     notes.extend(pair.notes)
     spec = resolve_kernel_spec(X, spec, dists)
     K = build_kernel(X, spec, center=cfg.center_kernel, dists=dists)

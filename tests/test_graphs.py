@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmsa import GraphError, KernelSpec, NumericError, build_kernel, graphs
@@ -32,11 +32,11 @@ def lasso(A, y, lam, max_iters):
 
 
 @st.composite
-def coding_problems(draw):
-    """Random D x N data (D in 2..6, N in 2..12), sometimes with a repeated
-    or an all-zero column, plus a lasso weight and a sweep cap."""
+def coding_problems(draw, samples=st.integers(2, 12)):
+    """Random D x N data (D in 2..6, N drawn from samples), sometimes with a
+    repeated or an all-zero column, plus a lasso weight and a sweep cap."""
     dim = draw(st.integers(2, 6))
-    n = draw(st.integers(2, 12))
+    n = draw(samples)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((dim, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
     if draw(st.booleans()):
@@ -45,6 +45,28 @@ def coding_problems(draw):
         X[:, draw(st.integers(0, n - 1))] = 0.0
     lam = 10 ** draw(st.floats(-5.0, 0.0)) * float(np.abs(X.T @ X).max(initial=1.0))
     return X, lam, draw(st.integers(1, 200))
+
+
+def has_repeated_column(X) -> bool:
+    nonzero = [tuple(col) for col in X.T if col.any()]
+    return len(set(nonzero)) < len(nonzero)
+
+
+@st.composite
+def coding_queues(draw):
+    """1-4 coding problems on the same N samples, each with its own D, lam and
+    step cap (1-5 or 500), as (X, lam, cap). A copy of an active column never
+    joins in exact arithmetic, but its join time is level * (w_j - w_a) /
+    (w_j - w_a), a ratio of 1e-11 differences; rounding may put it before the
+    path's next event on either route, so a capped path can end one event
+    apart: a view with two equal nonzero columns runs to lam (cap 500)."""
+    n = draw(st.integers(2, 12))
+    queue = []
+    for _ in range(draw(st.integers(1, 4))):
+        X, lam, _ = draw(coding_problems(st.just(n)))
+        cap = 500 if has_repeated_column(X) else draw(st.integers(1, 5) | st.just(500))
+        queue.append((X, lam, cap))
+    return queue
 
 
 class TestPcaGraph:
@@ -220,6 +242,10 @@ DROP_CASE = (
 )
 
 
+# a Gaussian view of as many samples as EDGE_CASES[2], no two columns equal
+GAUSSIAN_12 = np.random.default_rng(0).standard_normal((3, 12))
+
+
 def relative_gap(A, y, c, lam):
     """Lasso duality gap of c at the dual point mu r (r = y - A c, mu scaled so
     that ||A^T mu r||_inf <= lam), written so that no term is a difference of
@@ -277,38 +303,39 @@ class TestSparseCodes:
             assert np.all(np.abs(grad - lam * np.sign(M[:, i]))[active] <= eps[active])
 
     @settings(max_examples=150, deadline=None)
-    @given(coding_problems(), st.integers(1, 5) | st.just(500), st.integers(1, 13))
-    @example(EDGE_CASES[0], 500, 64)
-    @example(EDGE_CASES[1], 500, 64)
-    @example(EDGE_CASES[2], 500, 64)
-    @example(EDGE_CASES[2], 3, 5)
-    @example(DROP_CASE, 500, 64)
-    def test_lockstep_paths_match_per_column_reference(self, problem, cap, block):
-        # every path of a block takes one event per pass; each must end where
-        # its own path run alone ends, capped (cap <= 5) or not, whatever
-        # block the column falls in. Codes agree to 1e-9 of max|M|, or of 1
-        # (a code that rebuilds x_i from a column of its size) when all are
-        # smaller: at lam == max|x_j^T x_i| the exact codes are 0, and one
-        # route may round them to 1e-16
-        X, lam, _ = problem
-        n = X.shape[1]
-        # a copy of an active column never joins in exact arithmetic, but its
-        # join time is level * (w_j - w_a) / (w_j - w_a), a ratio of 1e-11
-        # differences; rounding may put it before the path's next event on
-        # either route, so a capped path can end one event apart
-        nonzero = [tuple(col) for col in X.T if col.any()]
-        assume(cap == 500 or len(set(nonzero)) == len(nonzero))
-        want, want_finished = np.zeros((n, n)), np.zeros(n, dtype=bool)
-        for i in range(n):
-            others = np.arange(n) != i
-            want[others, i], want_finished[i] = lasso_path_reference(
-                X[:, others], X[:, i], lam, cap
-            )
+    @given(coding_queues(), st.integers(1, 13))
+    @example([EDGE_CASES[0][:2] + (500,)], 64)
+    @example([EDGE_CASES[1][:2] + (500,)], 64)
+    @example([EDGE_CASES[2][:2] + (500,)], 64)
+    @example([EDGE_CASES[2][:2] + (3,)], 5)
+    @example([DROP_CASE[:2] + (500,)], 64)
+    @example([EDGE_CASES[2][:2] + (500,), (GAUSSIAN_12, 0.1, 4)], 5)
+    def test_lockstep_paths_match_per_column_reference(self, queue, block):
+        # the paths of every view share one queue, block paths at a time, and
+        # an ended path's slot goes to the next pending column; each must end
+        # where its own path run alone on its own view ends, capped or not,
+        # whatever block and neighbours it runs with. Codes agree to 1e-9 of
+        # max|M|, or of 1 (a code that rebuilds x_i from a column of its size)
+        # when all are smaller: at lam == max|x_j^T x_i| the exact codes are
+        # 0, and one route may round them to 1e-16
+        n = queue[0][0].shape[1]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "_BLOCK", block)
-            M, finished = sparse_codes(X, lam, cap)
-        assert np.array_equal(finished, want_finished)
-        assert np.abs(M - want).max() <= 1e-9 * max(np.abs(want).max(), 1.0)
+            mp.setattr(graphs, "_BLOCK", block * n)
+            got = graphs.lasso_codes(queue)
+        for (X, lam, cap), (M, finished) in zip(queue, got, strict=True):
+            want, want_finished = np.zeros((n, n)), np.zeros(n, dtype=bool)
+            for i in range(n):
+                others = np.arange(n) != i
+                want[others, i], want_finished[i] = lasso_path_reference(
+                    X[:, others], X[:, i], lam, cap
+                )
+            assert np.array_equal(finished, want_finished)
+            assert np.abs(M - want).max() <= 1e-9 * max(np.abs(want).max(), 1.0)
+
+    def test_views_of_one_queue_share_their_samples(self, rng):
+        X5, X6 = rng.standard_normal((3, 5)), rng.standard_normal((3, 6))
+        with pytest.raises(GraphError, match="share their samples"):
+            graphs.lasso_codes([(X5, 0.1, 10), (X6, 0.1, 10)])
 
 
 class TestSppGraph:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,25 @@ def test_cross_kernel_centered_matches_centered_gram(rng):
     K_centered = build_kernel(X, spec, center=True)
     cols = cross_kernel(X, X, spec, center=True)
     assert np.allclose(cols, K_centered, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
+def test_centered_cross_kernel_of_new_points_builds_no_training_kernel(rng, kind):
+    # the training kernel's row means come from blocks of its columns, so the
+    # peak stays well below the N x N kernel the means were once taken from
+    X, Y = rng.standard_normal((4, 400)), rng.standard_normal((4, 10))
+    spec = resolve_kernel_spec(X, KernelSpec(kind=kind))
+    tracemalloc.start()
+    try:
+        cols = cross_kernel(X, Y, spec, center=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 8.0 * 400 * 400
+    want = kernels._raw_kernel(X, Y, spec)
+    want -= kernels._raw_kernel(X, X, spec).mean(axis=1, keepdims=True)
+    want -= want.mean(axis=0, keepdims=True)
+    assert np.abs(cols - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "linear"])

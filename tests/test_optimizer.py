@@ -22,9 +22,17 @@ from kmsa import (
     generate_synthetic,
     transform,
 )
-from kmsa import eigsolver, kernels
+from kmsa import eigsolver, graphs, kernels, optimizer
 from kmsa.eigsolver import fix_signs, generalized_eigh
-from kmsa.graphs import build_graph, constraint_matrix, laplacian, pca_graph
+from kmsa.graphs import (
+    build_graph,
+    constraint_matrix,
+    laplacian,
+    lpp_graph,
+    pca_graph,
+    sparse_codes,
+    spp_graph,
+)
 from kmsa.kernels import build_kernel
 from kmsa.types import MEDIAN
 from kmsa.optimizer import (
@@ -595,6 +603,65 @@ class TestFit:
             assert np.abs(Y - Z).max() <= 1e-10
         assert not any(line.startswith("lasso column") for line in model.log)
 
+    def test_mixed_recipe_fit_codes_each_spp_view_as_if_alone(self, monkeypatch):
+        # two spp views with their own lasso weights and step caps share one
+        # lasso queue, lpp views between them: each graph is the one its
+        # recipe builds alone, and the capped-path notes and warnings come
+        # view by view
+        data = generate_synthetic(
+            classes=3, per_class=7, informative_views=3, noise_views=1, seed=0
+        )
+        recipes = (
+            GraphRecipe(kind="spp", lasso_lambda=0.05, lasso_max_iters=3),
+            GraphRecipe(kind="lpp", k=4),
+            GraphRecipe(kind="spp", lasso_lambda=0.3, lasso_max_iters=2),
+            GraphRecipe(kind="lpp", k=4),
+        )
+        seen, real = [], optimizer.laplacian
+
+        def recording(S):
+            seen.append(S.copy())
+            return real(S)
+
+        monkeypatch.setattr(optimizer, "laplacian", recording)
+        with pytest.warns(ConvergenceWarning) as record, warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightDomainWarning)
+            model = fit(data, KmsaConfig(d=2, graph=recipes, max_iters=3))
+        warned, notes = [], []
+        for v in (0, 2):
+            X, recipe = data.views[v], recipes[v]
+            lam, cap = recipe.lasso_lambda, recipe.lasso_max_iters
+            with pytest.warns(ConvergenceWarning):
+                S = spp_graph(X, lam, cap).S
+            assert np.abs(seen[v] - S).max() <= 1e-9 * np.abs(S).max()
+            capped = np.flatnonzero(~sparse_codes(X, lam, cap)[1])
+            warned.append(f"{capped.size} sparse-coding path(s) hit the homotopy step cap")
+            notes += [
+                f"lasso column {i} hit the {cap}-step homotopy cap before lasso_lambda"
+                for i in capped
+            ]
+        assert [str(w.message) for w in record if w.category is ConvergenceWarning] == warned
+        assert [line for line in model.log if line.startswith("lasso column")] == notes
+        for v in (1, 3):
+            assert np.array_equal(seen[v], lpp_graph(data.views[v], 4, MEDIAN).S)
+
+    def test_a_fit_runs_every_spp_view_in_one_lasso_queue(self, monkeypatch):
+        calls, real = [], graphs.lasso_codes
+
+        def counting(problems):
+            calls.append(len(problems))
+            return real(problems)
+
+        monkeypatch.setattr(graphs, "lasso_codes", counting)
+        monkeypatch.setattr(optimizer, "lasso_codes", counting)
+        data = generate_synthetic(
+            classes=3, per_class=7, informative_views=3, noise_views=1, seed=0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightDomainWarning)
+            fit(data, KmsaConfig(d=4, graph=GraphRecipe(kind="spp"), max_iters=2))
+        assert calls == [4]
+
     def test_determinism(self, rng):
         data = random_dataset(rng, m=2, n=10)
         cfg = KmsaConfig(d=2, max_iters=4)
@@ -657,10 +724,12 @@ class TestWorkingSet:
     builds one view's pencil at a time; the kernels come back one at a time
     for the embeddings, once the eigenbases are gone."""
 
-    @pytest.mark.parametrize("recipe", ["lpp", "lda"])
+    @pytest.mark.parametrize("recipe", ["lpp", "lda", "spp"])
     def test_peak_of_one_fit_in_n_squared_doubles(self, recipe):
         # four views keep 8 N^2; the last view's pencil, its constraint's
-        # copy and the ?sygvd workspace bring the peak near 11 N^2
+        # copy and the ?sygvd workspace bring the peak near 11 N^2. spp codes
+        # every view before any eigenbasis exists, and each view's codes go
+        # once its graph is built
         data = generate_synthetic(per_class=100, seed=3)
         n = data.n_samples
         cfg = KmsaConfig(d=4, graph=GraphRecipe(kind=recipe), max_iters=2)
