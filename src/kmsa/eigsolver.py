@@ -10,6 +10,9 @@ k x k secular equation or, below NEWTON_MIN_N rows, by a dense subset solve
 whose vectors are checked for orthonormality.
 Every pair is checked against the pencil itself (check_pairs).
 generalized_eigh solves one pencil directly, with a subset solve (?sygvx).
+scipy.linalg, which costs a process more start-up time and memory than numpy,
+is imported by the two functions that call LAPACK, at a fit's first pencil, so
+importing kmsa, transforming and generating data never load it.
 Ordering (ascending eigenvalues) and the sign convention (largest-magnitude
 entry of each vector positive, ties to the lowest index) are part of the
 contract so downstream embeddings and golden files are reproducible. Bases of
@@ -20,7 +23,6 @@ vectors.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericError
 
@@ -43,6 +45,7 @@ def pencil_eigh(H: np.ndarray, M: np.ndarray, **options):
     """scipy.linalg.eigh(H, M, **options) for symmetric H and M, one ?sygv*
     call. NumericError when M is not positive definite; any other LinAlgError
     (a convergence failure) is raised unchanged."""
+    import scipy.linalg as sla
     try:
         return sla.eigh(H, M, **options)
     except sla.LinAlgError as exc:
@@ -97,6 +100,7 @@ def secular_smallest(lam, Z, d: int):
         return D, *np.linalg.eigh((Z.T * D[:, None, :]) @ Z - np.eye(k))
 
     def dense():
+        import scipy.linalg as sla
         T = np.diag(lam) - Z @ Z.T
         w, X = sla.eigh(T, subset_by_index=[0, d - 1], driver="evr")
         if np.abs(X.T @ X - np.eye(d)).max() > ORTHO_TOL:

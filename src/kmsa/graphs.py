@@ -24,8 +24,8 @@ from .types import MEDIAN, GraphRecipe
 @dataclass(frozen=True)
 class GraphPair:
     """Similarity S and constraint factor B: the kernelized constraint is
-    K B K, or K itself when B is None. notes carries non-fatal construction
-    diagnostics (e.g. lasso paths that hit the step cap)."""
+    K B K (K diag(B) K for a vector B), or K itself when B is None. notes
+    carries non-fatal diagnostics (e.g. lasso paths that hit the step cap)."""
 
     S: np.ndarray
     B: np.ndarray | None
@@ -44,9 +44,9 @@ def pca_graph(n: int) -> GraphPair:
 def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> GraphPair:
     """Heat-kernel weights exp(-||x_i - x_j||^2 / t) on the symmetric kNN
     graph (edge when i is among j's k nearest or vice versa); B is the degree
-    matrix of S. dists, X's Distances when the caller shares them, give the
-    squared distances and the median heat; their diagonal is marked while the
-    neighbors are picked and then restored."""
+    vector of S, its row sums. dists, X's Distances when the caller shares
+    them, give the squared distances and the median heat; their diagonal is
+    marked while the neighbors are picked and then restored."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if not 1 <= k < n:
@@ -67,7 +67,7 @@ def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> Gr
     adj |= adj.T  # the OR rule keeps the graph symmetric
     S = np.zeros((n, n))
     S[adj] = np.exp(-sq[adj] / t)
-    return GraphPair(S=S, B=np.diag(S.sum(axis=1)))
+    return GraphPair(S=S, B=S.sum(axis=1))
 
 
 def lda_graph(labels) -> GraphPair:
@@ -124,8 +124,10 @@ def _next_events(w, corr, moved, level, free, c, sign, step):
 
 
 def lasso_codes(problems) -> list:
-    """The sparse_codes of several views of the same N samples, one
+    """The exact lasso codes of several views of the same N samples, one
     (X, lam, max_steps) problem per view: [(M, finished)] in problem order.
+    Column i of M codes x_i by the other columns of X; finished[i] is False
+    when its path hit max_steps events before reaching lam.
 
     Every column's homotopy path joins one queue, view by view. Up to
     _BLOCK // N paths run in lockstep, every pass taking one event on each,
@@ -276,28 +278,20 @@ def lasso_codes(problems) -> list:
     return [(M.copy(), f) for M, f in zip(codes, finished)]
 
 
-def sparse_codes(X: np.ndarray, lam: float, max_steps: int):
-    """Column i of M minimizes 0.5 ||x_i - X c||^2 + lam ||c||_1 with c_i = 0, exactly,
-    by its own homotopy path, the paths run in lockstep by lasso_codes.
-    Returns (M, finished); finished[i] is False when that path hit max_steps
-    events before reaching lam."""
-    return lasso_codes([(X, lam, max_steps)])[0]
-
-
 def spp_graph(X: np.ndarray, lam: float, max_iters: int, codes=None) -> GraphPair:
     """Sparse-coding similarity (Qiao, Chen & Tan, 2010): column i of M is the
     exact lasso code of x_i by the other samples (self-coefficient fixed at 0,
     at most max_iters homotopy steps), then S = M + M^T + M^T M with the
-    diagonal zeroed; constraint is K. codes, X's sparse_codes(X, lam,
-    max_iters) when the caller took them from a shared lasso_codes queue,
-    spare computing them here."""
+    diagonal zeroed; constraint is K. codes, X's (M, finished) when the
+    caller took them from a shared lasso_codes queue, spare computing them
+    here."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if n < 2:
         raise GraphError(f"need at least 2 samples, got {n}")
     if lam <= 0:
         raise GraphError("lasso weight must be positive")
-    M, finished = sparse_codes(X, lam, max_iters) if codes is None else codes
+    M, finished = lasso_codes([(X, lam, max_iters)])[0] if codes is None else codes
     notes = tuple(
         f"lasso column {i} hit the {max_iters}-step homotopy cap before lasso_lambda"
         for i in np.flatnonzero(~finished)
@@ -330,11 +324,11 @@ def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
     The trace-scaled ridge keeps the generalized eigenproblem definite without
     distorting well-conditioned cases. M is not checked here: the Cholesky
     factorization inside its pencil's solve (eigsolver.pencil_eigh) is the
-    definiteness check.
-    """
+    definiteness check. A vector B stands for diag(B): it scales K's columns,
+    the same bits as a gemm against diag(B), which only adds exact zeros."""
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    M = K.copy() if B is None else K @ B @ K
+    M = K.copy() if B is None else (K * B if B.ndim == 1 else K @ B) @ K
     M += M.T  # in place: numpy buffers the overlapping operand
     M *= 0.5
     M.flat[:: n + 1] += ridge * (np.trace(M) / n)

@@ -72,7 +72,7 @@ def lasso_cd_reference(A, y, lam, max_iters, tol=1e-6):
     Returns (c, converged); converged is False when max_iters full sweeps pass
     without the largest coefficient change dropping to tol. One problem at a
     time with scalar updates, an independent route to the codes that
-    graphs.sparse_codes finds by homotopy.
+    graphs.lasso_codes finds by homotopy.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)

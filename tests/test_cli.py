@@ -410,12 +410,34 @@ def test_evaluate_repeat_picks_best_view(monkeypatch):
     assert per_view == [{"map": 0.2}, {"map": 0.5}, {"map": 0.5}]
 
 
-def test_cli_import_does_not_load_scipy_spatial():
-    # every benchmark workload's setup time includes a fresh `import kmsa.cli`;
-    # scipy.spatial alone adds a few tenths of a second to it
+@pytest.mark.parametrize(
+    "case", ["import", "transform", "synth", "bad-config-fit", "fit", "indefinite-pencil"]
+)
+def test_scipy_loads_at_the_first_diagonalization(case, fitted_model, tmp_path):
+    # every benchmark workload's setup time includes a fresh `import kmsa.cli`,
+    # and scipy.linalg alone adds about 0.3 s and 28 MB to a process: only a
+    # diagonalization loads it, and nothing loads scipy.spatial
+    linalg = case in ("fit", "indefinite-pencil")
+    root = fitted_model
+    cli = "from kmsa.cli import main\nassert main(sys.argv[1:]) == {}"
+    fit = ["fit", "--data", str(root / "data"), "--out", str(tmp_path / "run"), "--config"]
+    code, argv = {
+        "import": ("import kmsa, kmsa.cli", []),
+        "transform": (cli.format(0), ["transform", "--model", str(root / "run" / "model"),
+                                      "--data", str(root / "data"), "--out", str(tmp_path)]),
+        "synth": (cli.format(0), ["synth", "--out", str(tmp_path / "data"), "--per-class", "4"]),
+        "bad-config-fit": (cli.format(1), [*fit, str(write_config(tmp_path, kapa=0.5))]),
+        "fit": (cli.format(0), [*fit, str(root / "config.json")]),
+        # the first call's LinAlgError becomes a NumericError
+        "indefinite-pencil": (
+            "import numpy as np\nfrom kmsa import NumericError, eigsolver\n"
+            "try:\n    eigsolver.pencil_eigh(np.eye(2), -np.eye(2))\n"
+            "except NumericError:\n    pass\nelse:\n    raise AssertionError", []
+        ),
+    }[case]
+    code = f"import sys\n{code}\nprint('scipy.linalg' in sys.modules, 'scipy.spatial' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(kmsa.__file__).parents[1]))
-    code = "import sys, kmsa.cli; print('scipy.spatial' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == f"{linalg} False"

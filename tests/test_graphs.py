@@ -8,10 +8,10 @@ from kmsa.eigsolver import pencil_eigh
 from kmsa.graphs import (
     constraint_matrix,
     laplacian,
+    lasso_codes,
     lda_graph,
     lpp_graph,
     pca_graph,
-    sparse_codes,
     spp_graph,
 )
 from kmsa.kernels import pairwise_sq_dists
@@ -27,7 +27,7 @@ from oracles import (
 def lasso(A, y, lam, max_iters):
     """min 0.5 ||y - A c||^2 + lam ||c||_1 as the last column of the codes of
     [A | y]: that column is coded by A alone."""
-    M, converged = sparse_codes(np.column_stack([A, y]), lam, max_iters)
+    M, converged = lasso_codes([(np.column_stack([A, y]), lam, max_iters)])[0]
     return M[:-1, -1], converged[-1]
 
 
@@ -120,10 +120,15 @@ class TestLppGraph:
         assert S[0, 2] == 0.0
 
     def test_degree_matrix(self, rng):
+        # B is the degree matrix's diagonal, and K diag(B) K is formed from
+        # it to the bit, without the dense diagonal matrix
         X = rng.standard_normal((3, 8))
         pair = lpp_graph(X, k=2, heat="median")
-        assert pair.B is not None
-        assert np.allclose(np.diag(pair.B), pair.S.sum(axis=1))
+        assert pair.B.shape == (8,)
+        assert np.array_equal(pair.B, pair.S.sum(axis=1))
+        K = build_kernel(X, KernelSpec())
+        want = constraint_matrix(K, np.diag(pair.B), ridge=1e-8)
+        assert np.array_equal(constraint_matrix(K, pair.B, ridge=1e-8), want)
 
     def test_laplacian_positive_semidefinite(self, rng):
         X = rng.standard_normal((3, 10))
@@ -218,7 +223,10 @@ class TestLasso:
 # cycles to the step cap (first); a column refused for lying in the active span
 # is reconsidered after a drop shrinks the span, else its correlation ends past
 # lam (second); tied correlations meet distinct boundaries, else zero-length
-# joins and drops cycle (third).
+# joins and drops cycle (third); a column whose join was refused is free to
+# join on that side again once another column joins, else the last column's
+# path, which re-joins it with no drop in between, ends with its correlation
+# past lam (fourth).
 EDGE_CASES = [
     (np.array([[0, 1, -1, -1, -1, 0, -1, 1, 0], [0, 1, -1, -1, 1, -1, 0, 1, -1],
                [0, 1, 0, 0, 0, 1, 1, 0, 0], [-1, 0, 1, 0, -1, 0, -1, 0, -1]], dtype=float),
@@ -229,6 +237,14 @@ EDGE_CASES = [
                [-1, 1, 1, -1, -1, -1, -1, 0, -1, -1, -1, 0], [1, 1, -1, 0, 1, 1, 1, 1, -1, -1, 0, 0]],
               dtype=float),
      0.5, 200),
+    (np.array([[1, 0, 0, 1, 1, 0, -1, 0, -1, -1, 1, 0, 1, 0],
+               [1, 1, 0, 1, -1, 0, 1, -1, -1, 0, 1, -1, 1, 1],
+               [-1, -1, 0, 0, -1, 1, -1, 0, 1, 0, 0, 0, 1, 0],
+               [1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 0, 1, -1, 0],
+               [-1, 1, 0, 0, -1, -1, 1, -1, 0, -1, 0, 0, 0, 1],
+               [1, 1, -1, -1, -1, 1, 0, -1, 0, -1, 1, 1, -1, -1],
+               [-1, 1, 0, 1, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0]], dtype=float),
+     0.01, 200),
 ]
 
 
@@ -244,6 +260,12 @@ DROP_CASE = (
 
 # a Gaussian view of as many samples as EDGE_CASES[2], no two columns equal
 GAUSSIAN_12 = np.random.default_rng(0).standard_normal((3, 12))
+
+# Gaussian data with lam at the level where a coefficient of column 1's path
+# reaches 0: the pass that ends the path also zeroes that coefficient, and
+# rounding can carry it a few ulps past 0, where, still active and against
+# its correlation's sign, it breaks the optimality conditions by 2 lam
+DROP_AT_LAM = np.random.default_rng(21).standard_normal((3, 6)), 0.029527661988444462, 200
 
 
 def relative_gap(A, y, c, lam):
@@ -265,10 +287,11 @@ class TestSparseCodes:
     @example(EDGE_CASES[0])
     @example(EDGE_CASES[1])
     @example(EDGE_CASES[2])
+    @example(EDGE_CASES[3])
     def test_every_column_is_a_lasso_solution(self, problem):
         X, lam, sweeps = problem
         n = X.shape[1]
-        M, finished = sparse_codes(X, lam, 500)
+        M, finished = lasso_codes([(X, lam, 500)])[0]
         assert finished.all()
         assert np.all(np.diag(M) == 0.0)
         for i in range(n):
@@ -287,12 +310,14 @@ class TestSparseCodes:
     @example(EDGE_CASES[0])
     @example(EDGE_CASES[1])
     @example(EDGE_CASES[2])
+    @example(EDGE_CASES[3])
+    @example(DROP_AT_LAM)
     def test_converged_columns_satisfy_kkt(self, problem):
         # exact codes meet the optimality conditions up to rounding, on the
         # scale |x_j|^T (|x_i| + |X| |c_i|) of x_j^T r_i, and the path's tie
         # breaking, which moves each boundary by at most 1e-11 lam
         X, lam, _ = problem
-        M, converged = sparse_codes(X, lam, 500)
+        M, converged = lasso_codes([(X, lam, 500)])[0]
         absX = np.abs(X)
         for i in np.flatnonzero(converged):
             grad = X.T @ (X[:, i] - X @ M[:, i])
@@ -346,7 +371,7 @@ class TestSppGraph:
             [[1.0, 10.0, -9.0, 1.0], [1.0, -10.0, 9.0, 1.0]]
         )
         pair = spp_graph(X, lam=0.05, max_iters=2000)
-        M, converged = sparse_codes(X, 0.05, 2000)
+        M, converged = lasso_codes([(X, 0.05, 2000)])[0]
         S = M + M.T + M.T @ M
         np.fill_diagonal(S, 0.0)
         assert np.array_equal(pair.S, S)  # the codes spp_graph builds on
@@ -376,7 +401,7 @@ class TestSppGraph:
         with pytest.warns(ConvergenceWarning):
             pair = spp_graph(X, lam=1e-6, max_iters=1)
         assert pair.notes  # at least one column cannot finish in one sweep
-        _, converged = sparse_codes(X, 1e-6, 1)
+        _, converged = lasso_codes([(X, 1e-6, 1)])[0]
         assert pair.notes == tuple(
             f"lasso column {i} hit the 1-step homotopy cap before lasso_lambda"
             for i in np.flatnonzero(~converged)

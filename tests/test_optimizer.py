@@ -29,8 +29,8 @@ from kmsa.graphs import (
     constraint_matrix,
     laplacian,
     lpp_graph,
+    lasso_codes,
     pca_graph,
-    sparse_codes,
     spp_graph,
 )
 from kmsa.kernels import build_kernel
@@ -634,7 +634,7 @@ class TestFit:
             with pytest.warns(ConvergenceWarning):
                 S = spp_graph(X, lam, cap).S
             assert np.abs(seen[v] - S).max() <= 1e-9 * np.abs(S).max()
-            capped = np.flatnonzero(~sparse_codes(X, lam, cap)[1])
+            capped = np.flatnonzero(~lasso_codes([(X, lam, cap)])[0][1])
             warned.append(f"{capped.size} sparse-coding path(s) hit the homotopy step cap")
             notes += [
                 f"lasso column {i} hit the {cap}-step homotopy cap before lasso_lambda"
