@@ -19,7 +19,8 @@ class NumericError(KmsaError):
 
 
 class GraphError(KmsaError):
-    """Invalid graph construction input (e.g. labels with empty classes)."""
+    """A graph that validated input cannot give (e.g. an lpp median heat that
+    underflows to 0)."""
 
 
 class DimensionError(KmsaError):

@@ -7,6 +7,9 @@ E = diag(row sums) has rows summing to zero. The spp recipe's lasso codes
 follow one homotopy path per column; the paths of every spp view of a fit
 share one queue, and a block of them runs in lockstep, one event per path per
 pass, each ended path's slot refilled from the queue.
+
+The builders trust types.validate_config, which fit runs before any graph is
+built, and do not check its rules again.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ class GraphPair:
 
 def pca_graph(n: int) -> GraphPair:
     """Dense -1/n off-diagonal similarity; constraint is K itself."""
-    if n < 2:
-        raise GraphError(f"need at least 2 samples, got {n}")
     S = np.full((n, n), -1.0 / n)
     np.fill_diagonal(S, 0.0)
     return GraphPair(S=S, B=None)
@@ -47,14 +48,10 @@ def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> Gr
     vector of S, its row sums. dists, X's Distances when the caller shares
     them, give the squared distances and the median heat; their diagonal is
     marked while the neighbors are picked and then restored."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    if not 1 <= k < n:
-        raise GraphError(f"neighbor count must satisfy 1 <= k < N, got k={k}, N={n}")
     dists = Distances(X) if dists is None else dists
     t = float(dists.median ** 2 if heat == MEDIAN else heat)
-    if t <= 0:
-        raise GraphError("heat parameter must be positive")
+    if t <= 0:  # validate_config judges a configured heat, not the median's square
+        raise GraphError(f"lpp median heat {dists.median!r}**2 underflows to 0")
     sq = dists.sq
     own = sq.diagonal().copy()
     np.fill_diagonal(sq, np.inf)  # self is never its own neighbor
@@ -65,7 +62,7 @@ def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> Gr
     adj = near | (tie & (np.cumsum(tie, axis=0, dtype=np.int32) <= k - near.sum(axis=0)))
     np.fill_diagonal(sq, own)
     adj |= adj.T  # the OR rule keeps the graph symmetric
-    S = np.zeros((n, n))
+    S = np.zeros_like(sq)
     S[adj] = np.exp(-sq[adj] / t)
     return GraphPair(S=S, B=S.sum(axis=1))
 
@@ -73,19 +70,11 @@ def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> Gr
 def lda_graph(labels) -> GraphPair:
     """Within-class +1/n_c, between-class -1/n_c weights, symmetrized as
     (S + S^T)/2 since unequal class sizes make the raw entries asymmetric;
-    B is the centering matrix I - (1/N) ones."""
-    labels = np.asarray(labels, dtype=int)
-    n = len(labels)
-    if n < 2:
-        raise GraphError(f"need at least 2 samples, got {n}")
-    if labels.min() < 0:
-        raise GraphError("class ids must be >= 0")
+    B is the centering matrix I - (1/N) ones. Class ids are names, compacted
+    to 0..C-1 in sorted order, so they need not be contiguous."""
+    _, labels = np.unique(labels, return_inverse=True)
+    n = labels.size
     counts = np.bincount(labels)
-    missing = np.nonzero(counts == 0)[0]
-    if missing.size:
-        raise GraphError(
-            f"class ids {missing.tolist()} have no members after 0..C-1 compaction"
-        )
     S = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
     S /= counts[labels][:, None]
     S += S.T  # in place: numpy buffers the overlapping operand
@@ -147,8 +136,6 @@ def lasso_codes(problems) -> list:
         return []
     Xs = [np.asarray(X, dtype=float) for X, _, _ in problems]
     n = Xs[0].shape[1]
-    if any(X.shape[1] != n for X in Xs):
-        raise GraphError("the views of one lasso queue must share their samples")
     lams = np.array([lam for _, lam, _ in problems], dtype=float)
     caps = np.array([cap for _, _, cap in problems], dtype=int)
     codes, finished = np.zeros((len(Xs), n, n)), np.zeros((len(Xs), n), dtype=bool)
@@ -285,12 +272,6 @@ def spp_graph(X: np.ndarray, lam: float, max_iters: int, codes=None) -> GraphPai
     diagonal zeroed; constraint is K. codes, X's (M, finished) when the
     caller took them from a shared lasso_codes queue, spare computing them
     here."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    if n < 2:
-        raise GraphError(f"need at least 2 samples, got {n}")
-    if lam <= 0:
-        raise GraphError("lasso weight must be positive")
     M, finished = lasso_codes([(X, lam, max_iters)])[0] if codes is None else codes
     notes = tuple(
         f"lasso column {i} hit the {max_iters}-step homotopy cap before lasso_lambda"
@@ -340,14 +321,11 @@ def build_graph(
 ) -> GraphPair:
     """Dispatch a recipe to its construction; dists, X's kernels.Distances,
     reach the lpp graph, and codes, X's lasso codes, the spp graph."""
-    n = np.asarray(X).shape[1]
     if recipe.kind == "pca":
-        return pca_graph(n)
+        return pca_graph(np.asarray(X).shape[1])
     if recipe.kind == "lpp":
         return lpp_graph(X, recipe.k, recipe.heat, dists)
     if recipe.kind == "lda":
-        if labels is None:
-            raise GraphError("lda graph recipe requires labels")
         return lda_graph(labels)
     if recipe.kind == "spp":
         return spp_graph(X, recipe.lasso_lambda, recipe.lasso_max_iters, codes)

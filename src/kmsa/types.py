@@ -1,7 +1,8 @@
 """Core domain types and configuration validation.
 
 Conventions: feature matrices are column-major in samples (a view is D_v x N,
-one column per sample); labels are opaque non-negative integer class ids.
+one column per sample); labels are non-negative integer class ids, names that
+need not be contiguous (the lda graph compacts them).
 All types are frozen dataclasses and safe to share read-only across threads.
 """
 
@@ -233,10 +234,11 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
     """
     m = data.n_views
     _check(m >= 1, "empty_views", "dataset must contain at least one view")
+    for v, X in enumerate(data.views):  # before n, which reads view 0's shape
+        _check(X.ndim == 2, "bad_view_shape", f"view {v} is not a matrix")
     n = data.n_samples
     _check(n >= 2, "too_few_samples", f"need at least 2 samples, got {n}")
     for v, X in enumerate(data.views):
-        _check(X.ndim == 2, "bad_view_shape", f"view {v} is not a matrix")
         _check(X.shape[0] >= 1, "empty_view", f"view {v} has no features")
         _check(
             X.shape[1] == n,
@@ -244,6 +246,7 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
             f"view {v} has {X.shape[1]} samples, view 0 has {n}",
         )
     if data.labels is not None:
+        _check(data.labels.ndim == 1, "labels_shape", "labels must be a vector of class ids")
         _check(
             len(data.labels) == n,
             "labels_length",

@@ -148,6 +148,28 @@ class TestFit:
         assert code == 1
         assert "kapa" in err
 
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"kind": "lpp", "k": 24}, "1 <= k < N"),
+            ({"kind": "lpp", "heat": 0}, "heat must be > 0"),
+            ({"kind": "spp", "lasso_lambda": 0}, "lasso weight must be > 0"),
+            ({"kind": "spp", "lasso_max_iters": 0}, "iteration cap must be >= 1"),
+            ({"kind": "isomap"}, "unknown graph 'isomap'"),
+        ],
+        ids=["lpp-k-n", "lpp-heat-0", "spp-lambda-0", "spp-iters-0", "isomap"],
+    )
+    def test_each_graph_rule_exits_one(self, synth_dir, tmp_path, capsys, graph, message):
+        # the graph builders trust validate_config: a config that breaks one
+        # of its graph rules stops the fit before any graph is built
+        cfg = write_config(tmp_path, graph=graph)
+        code, _, err = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+
     def test_numeric_failure_exits_three(self, tmp_path, capsys):
         huge = tmp_path / "huge"
         huge.mkdir()
@@ -366,6 +388,21 @@ class TestEval:
             "--repeats", "1", "--train-frac", "1.5",
         )
         assert code == 1
+
+    @pytest.mark.filterwarnings("ignore::kmsa.errors.WeightDomainWarning")
+    def test_lda_split_without_class_zero(self, tmp_path, capsys):
+        # classes of 1, 10 and 10 samples: a half split that leaves out the
+        # one sample of class 0 trains lda on class ids {1, 2}
+        data = generate_synthetic(classes=3, per_class=10, seed=0)
+        kmsa.save_dataset(data.subset(np.r_[0, 10:30]), tmp_path / "data")
+        cfg = tmp_path / "lda.json"
+        cfg.write_text(json.dumps({"d": 2, "graph": {"kind": "lda"}, "ridge": 1e-2}))
+        code, _, err = run(
+            capsys, "eval", "--task", "classify", "--data", str(tmp_path / "data"),
+            "--config", str(cfg), "--out", str(tmp_path / "m.json"),
+            "--repeats", "6", "--seed", "0",
+        )
+        assert code == 0, err
 
     def test_unlabeled_data_exits_one(self, tmp_path, capsys):
         bare = tmp_path / "bare"

@@ -672,6 +672,18 @@ class TestFit:
         for ua, ub in zip(a.coefficients, b.coefficients):
             assert np.array_equal(ua, ub)
 
+    def test_lda_class_ids_are_names(self):
+        # ids 3, 7, 8 for classes 0, 1, 2 give the same fit to the bit
+        data = generate_synthetic(classes=3, per_class=7, informative_views=2, noise_views=1)
+        renamed = MultiviewDataset(data.views, np.array([3, 7, 8])[data.labels])
+        cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lda"), ridge=1e-2, max_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightDomainWarning)
+            a, b = fit(data, cfg), fit(renamed, cfg)
+        assert a.objective_trace == b.objective_trace and np.array_equal(a.alpha, b.alpha)
+        for ya, yb in zip(a.coefficients + a.embeddings, b.coefficients + b.embeddings):
+            assert np.array_equal(ya, yb)
+
 
 class TestTransform:
     def test_training_points_reproduce_embeddings(self, rng):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -54,51 +56,51 @@ def test_validation_is_pure():
             validate_config(bad, data)
 
 
-@pytest.mark.parametrize(
-    "cfg_kw, code",
-    [
-        (dict(d=0), "d_not_positive"),
-        (dict(d=21), "d_exceeds_n"),
-        (dict(d=2, r=0.5), "r_not_gt_1"),
-        (dict(d=2, eta=0.0), "eta_not_negative"),
-        (dict(d=2, kappa=-0.1), "kappa_negative"),
-        (dict(d=2, max_iters=-1), "max_iters_negative"),
-        (dict(d=2, tol=0.0), "tol_not_positive"),
-        (dict(d=2, ridge=-1e-9), "ridge_negative"),
-        (dict(d=2, kernel=KernelSpec(kind="rbf")), "unknown_kernel"),
-        (
-            dict(d=2, kernel=KernelSpec(kind="gaussian", bandwidth=0.0)),
-            "bandwidth_not_positive",
-        ),
-        (
-            dict(d=2, kernel=KernelSpec(kind="gaussian", bandwidth="auto")),
-            "bad_bandwidth",
-        ),
-        (
-            dict(d=2, kernel=KernelSpec(kind="polynomial", degree=0)),
-            "degree_too_small",
-        ),
-        (
-            dict(d=2, kernel=KernelSpec(kind="polynomial", offset=-1.0)),
-            "offset_negative",
-        ),
-        (dict(d=2, graph=GraphRecipe(kind="isomap")), "unknown_graph"),
-        (dict(d=2, graph=GraphRecipe(kind="lpp", k=0)), "k_out_of_range"),
-        (dict(d=2, graph=GraphRecipe(kind="lpp", k=20)), "k_out_of_range"),
-        (dict(d=2, graph=GraphRecipe(kind="lpp", heat=0.0)), "heat_not_positive"),
-        (dict(d=2, graph=GraphRecipe(kind="lpp", heat="auto")), "bad_heat"),
-        (
-            dict(d=2, graph=GraphRecipe(kind="spp", lasso_lambda=0.0)),
-            "lasso_lambda_not_positive",
-        ),
-        (
-            dict(d=2, graph=GraphRecipe(kind="spp", lasso_max_iters=0)),
-            "lasso_iters_not_positive",
-        ),
-        (dict(d=2, kernel=(KernelSpec(), KernelSpec())), "kernel_count_mismatch"),
-        (dict(d=2, graph=(GraphRecipe(), GraphRecipe())), "graph_count_mismatch"),
-    ],
-)
+CONFIG_VIOLATIONS = [
+    (dict(d=0), "d_not_positive"),
+    (dict(d=21), "d_exceeds_n"),
+    (dict(d=2, r=0.5), "r_not_gt_1"),
+    (dict(d=2, eta=0.0), "eta_not_negative"),
+    (dict(d=2, kappa=-0.1), "kappa_negative"),
+    (dict(d=2, max_iters=-1), "max_iters_negative"),
+    (dict(d=2, tol=0.0), "tol_not_positive"),
+    (dict(d=2, ridge=-1e-9), "ridge_negative"),
+    (dict(d=2, kernel=KernelSpec(kind="rbf")), "unknown_kernel"),
+    (
+        dict(d=2, kernel=KernelSpec(kind="gaussian", bandwidth=0.0)),
+        "bandwidth_not_positive",
+    ),
+    (
+        dict(d=2, kernel=KernelSpec(kind="gaussian", bandwidth="auto")),
+        "bad_bandwidth",
+    ),
+    (
+        dict(d=2, kernel=KernelSpec(kind="polynomial", degree=0)),
+        "degree_too_small",
+    ),
+    (
+        dict(d=2, kernel=KernelSpec(kind="polynomial", offset=-1.0)),
+        "offset_negative",
+    ),
+    (dict(d=2, graph=GraphRecipe(kind="isomap")), "unknown_graph"),
+    (dict(d=2, graph=GraphRecipe(kind="lpp", k=0)), "k_out_of_range"),
+    (dict(d=2, graph=GraphRecipe(kind="lpp", k=20)), "k_out_of_range"),
+    (dict(d=2, graph=GraphRecipe(kind="lpp", heat=0.0)), "heat_not_positive"),
+    (dict(d=2, graph=GraphRecipe(kind="lpp", heat="auto")), "bad_heat"),
+    (
+        dict(d=2, graph=GraphRecipe(kind="spp", lasso_lambda=0.0)),
+        "lasso_lambda_not_positive",
+    ),
+    (
+        dict(d=2, graph=GraphRecipe(kind="spp", lasso_max_iters=0)),
+        "lasso_iters_not_positive",
+    ),
+    (dict(d=2, kernel=(KernelSpec(), KernelSpec())), "kernel_count_mismatch"),
+    (dict(d=2, graph=(GraphRecipe(), GraphRecipe())), "graph_count_mismatch"),
+]
+
+
+@pytest.mark.parametrize("cfg_kw, code", CONFIG_VIOLATIONS)
 def test_each_config_violation_has_a_code(cfg_kw, code):
     _, data = valid_pair()
     with pytest.raises(ConfigError) as exc:
@@ -106,44 +108,44 @@ def test_each_config_violation_has_a_code(cfg_kw, code):
     assert exc.value.code == code
 
 
-def test_dataset_violations():
+def _views(*shapes):
     rng = np.random.default_rng(1)
-    ok = KmsaConfig(d=2)
+    return [rng.standard_normal(shape) for shape in shapes]
 
-    with pytest.raises(ConfigError) as exc:
-        validate_config(ok, MultiviewDataset(views=[]))
-    assert exc.value.code == "empty_views"
 
-    one_sample = MultiviewDataset(views=[rng.standard_normal((3, 1))])
-    with pytest.raises(ConfigError) as exc:
-        validate_config(KmsaConfig(d=1), one_sample)
-    assert exc.value.code == "too_few_samples"
+DATASET_VIOLATIONS = [
+    (dict(views=[]), {}, "empty_views"),
+    (dict(views=_views((3, 1))), dict(d=1), "too_few_samples"),
+    (dict(views=[np.ones(5)]), dict(d=1), "bad_view_shape"),  # view 0 gives N
+    (dict(views=_views((3, 5), (2, 5, 1))), {}, "bad_view_shape"),
+    (dict(views=_views((3, 5), (0, 5))), {}, "empty_view"),
+    (dict(views=_views((3, 5), (2, 4))), {}, "mismatched_samples"),
+    (dict(views=_views((3, 5)), labels=[0, 1]), {}, "labels_length"),
+    (dict(views=_views((3, 5)), labels=[[0], [1], [1], [0], [1]]), {}, "labels_shape"),
+    (dict(views=_views((3, 5)), labels=[0, 1, -1, 0, 1]), {}, "labels_negative"),
+    (dict(views=_views((3, 5))), dict(graph=GraphRecipe(kind="lda")), "lda_requires_labels"),
+]
 
-    ragged = MultiviewDataset(
-        views=[rng.standard_normal((3, 5)), rng.standard_normal((2, 4))]
-    )
-    with pytest.raises(ConfigError) as exc:
-        validate_config(ok, ragged)
-    assert exc.value.code == "mismatched_samples"
 
-    short_labels = MultiviewDataset(
-        views=[rng.standard_normal((3, 5))], labels=[0, 1]
-    )
+@pytest.mark.parametrize("data_kw, cfg_kw, code", DATASET_VIOLATIONS)
+def test_each_dataset_violation_has_a_code(data_kw, cfg_kw, code):
     with pytest.raises(ConfigError) as exc:
-        validate_config(ok, short_labels)
-    assert exc.value.code == "labels_length"
+        validate_config(KmsaConfig(**{"d": 2, **cfg_kw}), MultiviewDataset(**data_kw))
+    assert exc.value.code == code
 
-    negative = MultiviewDataset(
-        views=[rng.standard_normal((3, 5))], labels=[0, 1, -1, 0, 1]
-    )
-    with pytest.raises(ConfigError) as exc:
-        validate_config(ok, negative)
-    assert exc.value.code == "labels_negative"
 
-    unlabeled = MultiviewDataset(views=[rng.standard_normal((3, 5))])
-    with pytest.raises(ConfigError) as exc:
-        validate_config(KmsaConfig(d=2, graph=GraphRecipe(kind="lda")), unlabeled)
-    assert exc.value.code == "lda_requires_labels"
+def test_every_rule_has_a_case():
+    # the two tables above are the only tests of the rules the graph builders
+    # trust; each code validate_config can raise must have a row
+    tree = ast.parse(inspect.getsource(validate_config))
+    raised = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            position = {"_check": 1, "ConfigError": 0}.get(call.func.id)
+            if position is not None:
+                assert isinstance(call.args[position], ast.Constant)
+                raised.add(call.args[position].value)
+    assert {code for *_, code in CONFIG_VIOLATIONS + DATASET_VIOLATIONS} == raised
 
 
 def test_config_dict_round_trip():
