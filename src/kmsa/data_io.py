@@ -9,8 +9,9 @@ read again one cell at a time with float(): that parser accepts every spelling
 float() accepts (digit-group underscores, non-ASCII digits) and words every
 FormatError. A model is a directory holding manifest.json (sorted keys, with a
 format-version field) and per view v the coefficient matrix
-coefficients_<v>.csv and the training embedding embedding_<v>.csv, plus an
-optional train/ dataset.
+coefficients_<v>.csv, the training embedding embedding_<v>.csv and, for a
+centered model, the training kernel's row means kernel_means_<v>.csv (one per
+row), plus an optional train/ dataset.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, IoError, VersionError
 from .types import KERNEL_KINDS, KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def format_float(x: float) -> str:
@@ -191,8 +192,8 @@ def generate_synthetic(
 
 
 def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = None) -> None:
-    """Write a model directory: manifest.json plus per-view coefficient and
-    embedding CSVs.
+    """Write a model directory: manifest.json plus per-view coefficient,
+    embedding and, for a centered model, kernel-mean CSVs.
 
     When train_data is given it is stored under train/ so out-of-sample
     transformation needs nothing else.
@@ -214,6 +215,8 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
     for v, (U, Y) in enumerate(zip(model.coefficients, model.embeddings), start=1):
         write_matrix_csv(path / f"coefficients_{v}.csv", U)
         write_matrix_csv(path / f"embedding_{v}.csv", Y)
+    for v, mu in enumerate(model.kernel_means or (), start=1):
+        write_matrix_csv(path / f"kernel_means_{v}.csv", mu[:, None])
     if train_data is not None:
         save_dataset(train_data, path / "train")
 
@@ -253,17 +256,35 @@ def load_model(path) -> KmsaModel:
                 f"its {len(alpha)} weights and {len(kernels)} kernels"
             )
         views = range(1, n_views + 1)
+        config = KmsaConfig.from_dict(manifest["config"])
+        coefficients = tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views)
         return KmsaModel(
-            coefficients=tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views),
+            coefficients=coefficients,
             alpha=alpha,
             objective_trace=tuple(float(g) for g in _json_array(manifest, "objective_trace", str)),
             embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
-            config=KmsaConfig.from_dict(manifest["config"]),
+            config=config,
             kernels=kernels,
             log=tuple(_json_array({"log": [], **manifest}, "log", str)),
+            kernel_means=_read_means(path, coefficients) if config.center_kernel else None,
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
+
+
+def _read_means(path: Path, coefficients) -> tuple:
+    """A centered model's training-kernel row means, per view one value for
+    each training sample; FormatError when a file is missing or misshapen."""
+    means = []
+    for v, U in enumerate(coefficients, start=1):
+        file = path / f"kernel_means_{v}.csv"
+        if not file.is_file():
+            raise FormatError(f"{path}: centered model has no {file.name}")
+        mu = read_matrix_csv(file)
+        if mu.shape != (len(U), 1):
+            raise FormatError(f"{file}: {mu.shape} values, expected {len(U)} rows of one")
+        means.append(mu[:, 0])
+    return tuple(means)
 
 
 def load_training_data(model_path) -> MultiviewDataset:

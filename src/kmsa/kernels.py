@@ -2,11 +2,14 @@
 
 The Gaussian kernel uses k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); the
 bandwidth defaults to the median of pairwise distances so synthetic
-experiments are scale-free. A fit's kernel is the training set's kernel
-columns against itself, as cross_kernel computes them, symmetrized, so fit and
-transform share one path; centering, off by default, makes it H K H with
-H = I - (1/N) 11^T. A fit reads each view's squared distances from one
-Distances, shared with the median bandwidth and the lpp graph.
+experiments are scale-free. A fit's kernel is the training set's raw kernel
+columns against itself, symmetrized; centering, off by default, makes it
+H K H with H = I - (1/N) 11^T. Training and new points embed through one
+rule, cross_kernel: their raw columns against the training samples, centered
+with the training kernel's row means, which a centered fit stores (the
+test-point centering of kernel PCA). A fit reads each view's squared
+distances from one Distances, shared with the median bandwidth and the lpp
+graph.
 """
 
 from __future__ import annotations
@@ -104,51 +107,35 @@ def _raw_kernel(
 def build_kernel(
     X: np.ndarray, spec: KernelSpec, center: bool = False, dists: Distances | None = None
 ) -> np.ndarray:
-    """N x N kernel matrix of the view's columns: their kernel columns against
-    themselves, as cross_kernel computes them, exactly symmetrized. dists, X's
-    Distances, supply the squared distances a Gaussian kernel reads."""
-    K = _columns(X, X, spec, center, dists)
+    """N x N kernel matrix of the view's columns: their raw kernel columns
+    against themselves, centered with their own row means when center is set,
+    exactly symmetrized. dists, X's Distances, supply the squared distances a
+    Gaussian kernel reads."""
+    K = _raw_kernel(X, X, spec, dists)
+    if center:
+        _center(K, K.mean(axis=1))
     K += K.T  # in place: numpy buffers the overlapping operand
     K *= 0.5
     return K
 
 
 def cross_kernel(
-    X_train: np.ndarray, X_new: np.ndarray, spec: KernelSpec, center: bool = False
+    X_train: np.ndarray, X_new: np.ndarray, spec: KernelSpec, means: np.ndarray | None = None
 ) -> np.ndarray:
     """N x Q kernel columns of new points against the training samples.
 
-    With center=True the columns are centered consistently with the training
-    kernel: H (k_new - (1/N) K_raw 1), which on the training samples
-    themselves is H K H.
+    Given means, the training kernel's row means k(X_train, X_train).mean(axis=1),
+    the columns are centered as kernel PCA centers a test point:
+    H (k_new - means). No training x training entry is evaluated.
     """
-    return _columns(X_train, X_new, spec, center)
+    K = _raw_kernel(X_train, X_new, spec)
+    if means is not None:
+        _center(K, means)
+    return K
 
 
-# training columns per block of a centered cross_kernel's row means: a block's
-# temporaries are a few N x _MEAN_COLUMNS matrices, not one N x N kernel
-_MEAN_COLUMNS = 64
-
-
-def _columns(
-    X_train, X_new, spec: KernelSpec, center: bool, dists: Distances | None = None
-) -> np.ndarray:
-    """cross_kernel's columns; dists as in build_kernel. Centering reads the
-    row means of the training kernel from the columns themselves when X_new is
-    X_train, else sums them over blocks of training columns."""
-    spec = resolve_kernel_spec(X_train, spec, dists)
-    Kc = _raw_kernel(X_train, X_new, spec, dists)
-    if center:
-        if X_new is X_train:
-            means = Kc.mean(axis=1, keepdims=True)
-        else:
-            X_train = np.asarray(X_train, dtype=float)
-            n = X_train.shape[1]
-            means = np.zeros((n, 1))
-            for a in range(0, n, _MEAN_COLUMNS):
-                block = X_train[:, a : a + _MEAN_COLUMNS]
-                means += _raw_kernel(X_train, block, spec).sum(axis=1, keepdims=True)
-            means /= n
-        Kc -= means  # the mean is taken first
-        Kc -= Kc.mean(axis=0, keepdims=True)
-    return Kc
+def _center(K: np.ndarray, means: np.ndarray) -> None:
+    """Center kernel columns in place: subtract the training row means, then
+    each column's mean."""
+    K -= means[:, None]
+    K -= K.mean(axis=0, keepdims=True)

@@ -282,50 +282,58 @@ def fit(
             break
 
     # the eigenbases go before the kernels come back, one view at a time;
-    # build_kernel is deterministic, so each is the K the pencil was built from
+    # _raw_kernel is deterministic, so each mean is the one the pencil's
+    # build_kernel centered with
     del views
-    embeddings = tuple(
-        U.T @ build_kernel(X, spec, center=cfg.center_kernel)
-        for X, spec, U in zip(data.views, specs, Us)
-    )
+    means = None
+    if cfg.center_kernel:
+        means = tuple(cross_kernel(X, X, spec).mean(axis=1) for X, spec in zip(data.views, specs))
     return KmsaModel(
         coefficients=tuple(Us),
         alpha=alpha,
         objective_trace=tuple(trace),
-        embeddings=embeddings,
+        embeddings=_embed(Us, specs, means, data.views, data.views),
         config=cfg,
         kernels=specs,
         log=tuple(log),
+        kernel_means=means,
+    )
+
+
+def _embed(Us, specs, means, train_views, new_views) -> tuple:
+    """Per view, U^T of the new points' kernel columns against the training
+    samples, centered with the training kernel's row means when means is
+    given: the one rule for the training set and for new points."""
+    means = (None,) * len(Us) if means is None else means
+    return tuple(
+        U.T @ cross_kernel(X_train, X_new, spec, mu)
+        for U, spec, mu, X_train, X_new in zip(Us, specs, means, train_views, new_views)
     )
 
 
 def transform(model: KmsaModel, new_views, data: MultiviewDataset):
     """Embed out-of-sample points: per view, U^T k_new with kernel columns of
-    the new points against the training samples, under the model's resolved
-    kernel spec and centering convention. Training columns reproduce the
-    stored embeddings."""
+    the new points against the training samples of data, under the model's
+    resolved kernel spec and, for a centered model, centered with its stored
+    kernel_means. fit embeds the training set by the same rule, so
+    transform(model, data.views, data) is model.embeddings to the bit."""
     m = len(model.coefficients)
     if len(new_views) != m:
         raise DimensionError(f"expected {m} views, got {len(new_views)}")
     if data.n_views != m:
         raise DimensionError(f"training dataset has {data.n_views} views, model has {m}")
-    out = []
-    for v in range(m):
-        X_train = data.views[v]
-        X_new = np.asarray(new_views[v], dtype=float)
+    new_views = [np.asarray(X, dtype=float) for X in new_views]
+    for v, (X_train, X_new, U) in enumerate(zip(data.views, new_views, model.coefficients)):
         if X_new.ndim != 2 or X_new.shape[0] != X_train.shape[0]:
             raise DimensionError(
                 f"view {v}: new points have {X_new.shape[0] if X_new.ndim == 2 else 'bad'}"
                 f" features, training data has {X_train.shape[0]}"
             )
-        U = model.coefficients[v]
         if X_train.shape[1] != U.shape[0]:
             raise DimensionError(
                 f"view {v}: training dataset has {X_train.shape[1]} samples, "
                 f"model was fitted on {U.shape[0]}"
             )
-        cols = cross_kernel(
-            X_train, X_new, model.kernels[v], center=model.config.center_kernel
-        )
-        out.append(U.T @ cols)
-    return out
+    return list(
+        _embed(model.coefficients, model.kernels, model.kernel_means, data.views, new_views)
+    )

@@ -120,6 +120,17 @@ class GraphRecipe:
     from_dict = classmethod(_from_dict)
 
 
+def _class_ids(labels) -> np.ndarray:
+    """labels as ints when every entry is an integral number, else as given,
+    for validate_config to reject: a cast would truncate 1.5 to 1."""
+    raw = np.asarray(labels)
+    # NaN, infinity and floats beyond int64 fail the bound
+    integral = raw.dtype.kind in "biu" or (
+        raw.dtype.kind == "f" and (np.abs(raw) < 2.0**63).all() and (raw == np.round(raw)).all()
+    )
+    return raw.astype(int) if integral else raw
+
+
 @dataclass(frozen=True)
 class MultiviewDataset:
     """m feature views over the same N samples, optionally labeled."""
@@ -131,11 +142,7 @@ class MultiviewDataset:
         object.__setattr__(
             self, "views", tuple(np.asarray(v, dtype=float) for v in views)
         )
-        object.__setattr__(
-            self,
-            "labels",
-            None if labels is None else np.asarray(labels, dtype=int),
-        )
+        object.__setattr__(self, "labels", None if labels is None else _class_ids(labels))
 
     @property
     def n_views(self) -> int:
@@ -172,7 +179,6 @@ class KmsaConfig:
     tol: float = 1e-6
     ridge: float = 1e-8
     center_kernel: bool = False
-    seed: int = 0
 
     def kernels_for(self, m: int) -> tuple:
         """Per-view kernel specs, broadcasting a single spec to all m views."""
@@ -202,15 +208,19 @@ class KmsaConfig:
 
 @dataclass(frozen=True)
 class KmsaModel:
-    """Everything a fit produces.
+    """Everything a fit produces, and all that inference needs.
 
     coefficients are the per-view N x d matrices U_v; alpha lies strictly
     inside the simplex; objective_trace holds the recorded objective after
     initialization and after each sweep; embeddings are the d x N per-view
-    representations U^T K; kernels are the per-view specs with bandwidths
-    resolved to concrete values; log records clamp and non-monotonicity
-    events. Kernel, graph and constraint matrices are fit-time internals,
-    recomputable from the training data and config.
+    representations U^T K, with K the raw training kernel centered by
+    kernel_means under center_kernel; kernels are the per-view specs with
+    bandwidths resolved to concrete values; log records clamp and
+    non-monotonicity events; kernel_means, set exactly when the config
+    centers, holds each view's training-kernel row means (length N), with
+    which transform centers new kernel columns. Kernel, graph and constraint
+    matrices are fit-time internals, recomputable from the training data and
+    config.
     """
 
     coefficients: tuple
@@ -220,6 +230,7 @@ class KmsaModel:
     config: KmsaConfig
     kernels: tuple
     log: tuple = ()
+    kernel_means: Optional[tuple] = None
 
 
 def _check(cond: bool, code: str, message: str) -> None:
@@ -251,6 +262,11 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
             len(data.labels) == n,
             "labels_length",
             f"got {len(data.labels)} labels for {n} samples",
+        )
+        _check(
+            data.labels.dtype.kind == "i",
+            "labels_not_integer",
+            f"class ids must be integers, got {data.labels.dtype} entries",
         )
         _check((data.labels >= 0).all(), "labels_negative", "class ids must be >= 0")
 

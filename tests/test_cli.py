@@ -197,21 +197,21 @@ class TestFit:
 
 class TestTransform:
     def test_training_data_reproduces_fit_embeddings(self, synth_dir, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "run"
-        assert run(capsys, "fit", "--data", str(synth_dir), "--out", str(out),
-                   "--config", str(cfg))[0] == 0
-        tr_out = tmp_path / "tr"
-        code, _, _ = run(
-            capsys, "transform", "--model", str(out / "model"),
-            "--data", str(synth_dir), "--out", str(tr_out),
-        )
-        assert code == 0
-        for v in (1, 2, 3):
-            a = (out / f"embeddings_{v}.csv").read_bytes()
-            b = (tr_out / f"embeddings_{v}.csv").read_bytes()
-            assert a == b
-            read_matrix_csv(tr_out / f"embeddings_{v}.csv")  # loader round-trip
+        for center in (False, True):
+            cfg = write_config(tmp_path, center_kernel=center)
+            out, tr_out = tmp_path / f"run-{center}", tmp_path / f"tr-{center}"
+            assert run(capsys, "fit", "--data", str(synth_dir), "--out", str(out),
+                       "--config", str(cfg))[0] == 0
+            code, _, _ = run(
+                capsys, "transform", "--model", str(out / "model"),
+                "--data", str(synth_dir), "--out", str(tr_out),
+            )
+            assert code == 0
+            for v in (1, 2, 3):
+                a = (out / f"embeddings_{v}.csv").read_bytes()
+                b = (tr_out / f"embeddings_{v}.csv").read_bytes()
+                assert a == b
+                read_matrix_csv(tr_out / f"embeddings_{v}.csv")  # loader round-trip
 
     def test_dimension_mismatch_exits_one(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -234,13 +234,15 @@ class TestTransform:
                    "--config", str(cfg))[0] == 0
         manifest_path = out / "model" / "manifest.json"
         doc = json.loads(manifest_path.read_text())
-        doc["format_version"] = 42
-        manifest_path.write_text(json.dumps(doc))
-        code, _, _ = run(
-            capsys, "transform", "--model", str(out / "model"),
-            "--data", str(synth_dir), "--out", str(tmp_path / "t3"),
-        )
-        assert code == 2
+        # format 2 stored no kernel means and is no longer read
+        for version in (2, 42):
+            doc["format_version"] = version
+            manifest_path.write_text(json.dumps(doc))
+            code, _, err = run(
+                capsys, "transform", "--model", str(out / "model"),
+                "--data", str(synth_dir), "--out", str(tmp_path / "t3"),
+            )
+            assert code == 2 and f"format version {version}" in err
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "alpha"}, id="no-alpha"),

@@ -282,10 +282,10 @@ class TestSynthetic:
 
 
 class TestModelPersistence:
-    def fitted(self, seed=0):
+    def fitted(self, seed=0, center=False):
         data = generate_synthetic(classes=2, per_class=6, informative_views=2,
                                   noise_views=0, seed=seed)
-        model = fit(data, KmsaConfig(d=2, max_iters=3, ridge=1e-2))
+        model = fit(data, KmsaConfig(d=2, max_iters=3, ridge=1e-2, center_kernel=center))
         return data, model
 
     def test_alpha_bit_exact(self, tmp_path):
@@ -296,33 +296,45 @@ class TestModelPersistence:
         assert model.objective_trace == again.objective_trace
 
     def test_matrices_round_trip(self, tmp_path):
-        data, model = self.fitted()
-        save_model(model, tmp_path / "m", train_data=data)
-        again = load_model(tmp_path / "m")
-        assert len(again.coefficients) == len(model.coefficients) == 2
-        for a, b in zip(model.coefficients, again.coefficients):
-            assert np.array_equal(a, b)  # 17 digits round-trips doubles
-        for a, b in zip(model.embeddings, again.embeddings):
-            assert np.array_equal(a, b)
-        assert again.config == model.config
-        assert again.kernels == model.kernels
-        # only what transform needs: no kernel, graph or constraint matrices
-        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == [
-            "coefficients_1.csv",
-            "coefficients_2.csv",
-            "embedding_1.csv",
-            "embedding_2.csv",
-            "manifest.json",
-            "train",
-        ]
+        for center in (False, True):
+            data, model = self.fitted(center=center)
+            path = tmp_path / f"m-{center}"
+            save_model(model, path, train_data=data)
+            again = load_model(path)
+            assert len(again.coefficients) == len(model.coefficients) == 2
+            for a, b in zip(model.coefficients, again.coefficients):
+                assert np.array_equal(a, b)  # 17 digits round-trips doubles
+            for a, b in zip(model.embeddings, again.embeddings):
+                assert np.array_equal(a, b)
+            assert again.config == model.config
+            assert again.kernels == model.kernels
+            if center:
+                assert len(again.kernel_means) == len(model.kernel_means) == 2
+                for a, b in zip(model.kernel_means, again.kernel_means):
+                    assert a.shape == (12,) and np.array_equal(bits(a), bits(b))
+            else:
+                assert model.kernel_means is again.kernel_means is None
+            # only what transform needs: no kernel, graph or constraint
+            # matrices, and the row means that center new kernel columns
+            means = ["kernel_means_1.csv", "kernel_means_2.csv"] if center else []
+            assert sorted(p.name for p in path.iterdir()) == [
+                "coefficients_1.csv",
+                "coefficients_2.csv",
+                "embedding_1.csv",
+                "embedding_2.csv",
+                *means,
+                "manifest.json",
+                "train",
+            ]
 
     def test_version_bump_rejected(self, tmp_path):
         _, model = self.fitted()
         save_model(model, tmp_path / "m")
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
-        # version 1 directories stored K/P/M and are no longer read
-        for version in (1, 99):
+        assert manifest["format_version"] == 3
+        # version 1 directories stored K/P/M, and version 2 ones no kernel
+        # means and a seed; neither is read any more
+        for version in (1, 2, 99):
             manifest["format_version"] = version
             (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
             with pytest.raises(VersionError):
@@ -348,6 +360,19 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match=key):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("means", [None, "1\n2\n", "1,2,3,4,5,6,7,8,9,10,11,12\n"],
+                             ids=["missing", "short", "one-row"])
+    def test_centered_model_needs_its_kernel_means(self, tmp_path, means):
+        _, model = self.fitted(center=True)
+        save_model(model, tmp_path / "m")
+        path = tmp_path / "m" / "kernel_means_2.csv"
+        if means is None:
+            path.unlink()
+        else:
+            path.write_text(means)
+        with pytest.raises(FormatError, match="kernel_means_2.csv"):
+            load_model(tmp_path / "m")
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "m").mkdir()
         with pytest.raises(IoError):
@@ -362,7 +387,7 @@ class TestModelPersistence:
         for a, b in zip(direct, reloaded):
             assert np.array_equal(a, b)
         for Y, Z in zip(again.embeddings, reloaded):
-            assert np.abs(Y - Z).max() < 1e-12
+            assert np.array_equal(Y, Z)
 
 
 def test_report_round_trip(tmp_path):

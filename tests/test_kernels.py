@@ -100,39 +100,54 @@ def test_resolve_median_spec(rng):
     assert resolve_kernel_spec(X, fixed) == fixed
 
 
-def test_cross_kernel_reproduces_training_columns(rng):
+@pytest.mark.parametrize("spec", [
+    KernelSpec(bandwidth=1.1),
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="polynomial", degree=3, offset=0.5),
+], ids=["gaussian", "linear", "polynomial"])
+def test_cross_kernel_reproduces_training_columns(rng, spec):
+    # the raw training kernel is exactly symmetric, so the fit's symmetrized
+    # kernel is its training columns to the bit: an uncentered model's
+    # embeddings are the transform of its training set
     X = rng.standard_normal((4, 10))
-    spec = KernelSpec(bandwidth=1.1)
-    K = build_kernel(X, spec)
     cols = cross_kernel(X, X, spec)
-    assert np.array_equal(cols, K)
+    assert np.array_equal(cols, cols.T)
+    assert np.array_equal(cols, build_kernel(X, spec))
 
 
 def test_cross_kernel_centered_matches_centered_gram(rng):
     X = rng.standard_normal((4, 10))
     spec = KernelSpec(kind="linear")
     K_centered = build_kernel(X, spec, center=True)
-    cols = cross_kernel(X, X, spec, center=True)
+    cols = cross_kernel(X, X, spec, means=cross_kernel(X, X, spec).mean(axis=1))
     assert np.allclose(cols, K_centered, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
-def test_centered_cross_kernel_of_new_points_builds_no_training_kernel(rng, kind):
-    # the training kernel's row means come from blocks of its columns, so the
-    # peak stays well below the N x N kernel the means were once taken from
+def test_centered_cross_kernel_of_new_points_builds_no_training_kernel(rng, monkeypatch, kind):
+    # given the training kernel's row means, centering reads the new columns
+    # only: no training x training entry is evaluated
     X, Y = rng.standard_normal((4, 400)), rng.standard_normal((4, 10))
     spec = resolve_kernel_spec(X, KernelSpec(kind=kind))
+    means = kernels._raw_kernel(X, X, spec).mean(axis=1)
+    seen, real_raw = [], kernels._raw_kernel
+
+    def recording_raw(A, B, *args, **kwargs):
+        seen.append(B)
+        return real_raw(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_raw_kernel", recording_raw)
     tracemalloc.start()
     try:
-        cols = cross_kernel(X, Y, spec, center=True)
+        cols = cross_kernel(X, Y, spec, means)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * 8.0 * 400 * 400
-    want = kernels._raw_kernel(X, Y, spec)
-    want -= kernels._raw_kernel(X, X, spec).mean(axis=1, keepdims=True)
+    assert len(seen) == 1 and seen[0] is Y
+    want = real_raw(X, Y, spec) - means[:, None]
     want -= want.mean(axis=0, keepdims=True)
-    assert np.abs(cols - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(cols, want)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "linear"])

@@ -33,7 +33,7 @@ from kmsa.graphs import (
     pca_graph,
     spp_graph,
 )
-from kmsa.kernels import build_kernel
+from kmsa.kernels import build_kernel, cross_kernel
 from kmsa.types import MEDIAN
 from kmsa.optimizer import (
     MONOTONE_SLACK,
@@ -720,15 +720,39 @@ class TestTransform:
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
     def test_model_roundtrip(self, rng, kind, center):
-        # the fit's kernel is the transform's kernel columns, symmetrized:
-        # the two differ by that rounding only, which coefficient norms
-        # (scaling like ridge^-1/2) amplify, so the bound is not bitwise
+        # fit embeds its training set by transform's rule, so the two agree
+        # to the bit, centered or not
         data = random_dataset(rng, m=2, n=12)
         cfg = KmsaConfig(d=2, max_iters=2, kernel=KernelSpec(kind=kind), center_kernel=center)
         model = fit(data, cfg)
         out = transform(model, data.views, data)
         for Y, Z in zip(model.embeddings, out):
-            assert np.abs(Y - Z).max() < 1e-9
+            assert np.array_equal(Y, Z)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
+    def test_centered_transform_of_new_points_reads_stored_means(self, rng, monkeypatch, kind):
+        # a centered model stores each view's raw training-kernel row means;
+        # new points are centered with them, and no training x training
+        # kernel entry is evaluated
+        data = random_dataset(rng, m=2, n=12)
+        new = [rng.standard_normal((X.shape[0], 5)) for X in data.views]
+        cfg = KmsaConfig(d=2, max_iters=2, kernel=KernelSpec(kind=kind), center_kernel=True)
+        model = fit(data, cfg)
+        seen, real_raw = [], kernels._raw_kernel
+
+        def recording_raw(A, B, *args, **kwargs):
+            seen.append(B)
+            return real_raw(A, B, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_raw_kernel", recording_raw)
+        out = transform(model, new, data)
+        assert len(seen) == 2 and all(B is Y for B, Y in zip(seen, new))
+        for X, Y, spec, U, mu, Z in zip(
+            data.views, new, model.kernels, model.coefficients, model.kernel_means, out
+        ):
+            assert np.array_equal(mu, real_raw(X, X, spec).mean(axis=1))
+            cols = real_raw(X, Y, spec) - mu[:, None]
+            assert np.array_equal(Z, U.T @ (cols - cols.mean(axis=0, keepdims=True)))
 
 
 class TestWorkingSet:
@@ -785,6 +809,9 @@ class TestWorkingSet:
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("recipe", ["pca", "lpp", "lda", "spp"])
     def test_embeddings_are_the_rebuilt_kernels_projections(self, recipe, center):
+        # uncentered, the raw kernel columns are the pencil's symmetrized
+        # kernel to the bit; centered, they are centered with the stored row
+        # means, as transform centers new points
         data = generate_synthetic(per_class=5, seed=2)
         cfg = KmsaConfig(
             d=2, graph=GraphRecipe(kind=recipe), max_iters=3, center_kernel=center
@@ -793,11 +820,17 @@ class TestWorkingSet:
             warnings.simplefilter("ignore")
             model = fit(data, cfg)
         out = transform(model, data.views, data)
-        for X, spec, U, Y, Z in zip(
-            data.views, model.kernels, model.coefficients, model.embeddings, out
+        assert (model.kernel_means is not None) == center
+        means = model.kernel_means or (None,) * data.n_views
+        for X, spec, U, mu, Y, Z in zip(
+            data.views, model.kernels, model.coefficients, means, model.embeddings, out
         ):
-            assert np.array_equal(Y, U.T @ build_kernel(X, spec, center=center))
-            assert np.abs(Y - Z).max() <= 1e-9 * max(1.0, np.abs(Y).max())
+            if center:
+                assert np.array_equal(mu, cross_kernel(X, X, spec).mean(axis=1))
+            else:
+                assert np.array_equal(Y, U.T @ build_kernel(X, spec))
+            assert np.array_equal(Y, U.T @ cross_kernel(X, X, spec, mu))
+            assert np.array_equal(Y, Z)
 
 
 def test_gram_divergence_properties(rng):

@@ -124,6 +124,8 @@ DATASET_VIOLATIONS = [
     (dict(views=_views((3, 5)), labels=[[0], [1], [1], [0], [1]]), {}, "labels_shape"),
     (dict(views=_views((3, 5)), labels=[0, 1, -1, 0, 1]), {}, "labels_negative"),
     (dict(views=_views((3, 5))), dict(graph=GraphRecipe(kind="lda")), "lda_requires_labels"),
+    (dict(views=_views((3, 5)), labels=[0.0, 1.5, 1.7, 0.0, 1.0]), {}, "labels_not_integer"),
+    (dict(views=_views((3, 5)), labels=["a", "b", "a", "b", "a"]), {}, "labels_not_integer"),
 ]
 
 
@@ -132,6 +134,15 @@ def test_each_dataset_violation_has_a_code(data_kw, cfg_kw, code):
     with pytest.raises(ConfigError) as exc:
         validate_config(KmsaConfig(**{"d": 2, **cfg_kw}), MultiviewDataset(**data_kw))
     assert exc.value.code == code
+
+
+def test_integral_labels_load_as_class_ids():
+    # fractional ids are left for validate_config to reject, not truncated
+    assert MultiviewDataset(_views((3, 2)), labels=[0.0, 1.5]).labels.tolist() == [0.0, 1.5]
+    for labels in ([0.0, 1.0], [0, 1], np.array([0, 1], dtype=np.uint8), [False, True]):
+        ids = MultiviewDataset(_views((3, 2)), labels=labels).labels
+        assert ids.dtype == int and ids.tolist() == [0, 1]
+    validate_config(KmsaConfig(d=1), MultiviewDataset(_views((3, 2)), labels=[0.0, 1.0]))
 
 
 def test_every_rule_has_a_case():
@@ -160,7 +171,6 @@ def test_config_dict_round_trip():
         tol=1e-5,
         ridge=1e-4,
         center_kernel=True,
-        seed=7,
     )
     again = KmsaConfig.from_dict(cfg.to_dict())
     assert again == cfg
@@ -220,7 +230,6 @@ configs = st.builds(
     tol=finite,
     ridge=finite,
     center_kernel=st.booleans(),
-    seed=st.integers(0, 2**31),
 )
 
 
@@ -253,7 +262,7 @@ def test_to_dict_writes_every_field():
         ({"d": True}, "bad_type"),
         ({"d": "3"}, "bad_type"),
         ({"d": 3, "max_iters": True}, "bad_type"),
-        ({"d": 3, "seed": 1.5}, "bad_type"),
+        ({"d": 3, "max_iters": 1.5}, "bad_type"),
         ({"d": 3, "kappa": "0.5"}, "bad_type"),
         ({"d": 3, "r": False}, "bad_type"),
         ({"d": 3, "ridge": None}, "bad_type"),
@@ -267,6 +276,7 @@ def test_to_dict_writes_every_field():
         ({"r": 2.0}, "missing_d"),
         (None, "bad_type"),
         ([{"d": 3}], "bad_type"),
+        ({"d": 3, "seed": 0}, "unknown_key"),  # a field up to model format 2
     ],
 )
 def test_from_dict_rejects_bad_documents(doc, code):
@@ -286,8 +296,8 @@ def test_from_dict_converts_numbers_to_field_types():
 
 
 def test_earlier_manifest_dicts_still_load():
-    # config and kernels exactly as model format 2 wrote them when to_dict
-    # kept only each kind's own fields
+    # config and kernels as model format 2 wrote them when to_dict kept only
+    # each kind's own fields, less the seed field that format 3 dropped
     config = {
         "center_kernel": False, "d": 2, "eta": -5.0,
         "graph": [
@@ -299,7 +309,7 @@ def test_earlier_manifest_dicts_still_load():
             {"bandwidth": "median", "kind": "gaussian"},
             {"degree": 3, "kind": "polynomial", "offset": 0.5},
         ],
-        "max_iters": 2, "r": 3.0, "ridge": 0.1, "seed": 0, "tol": 1e-06,
+        "max_iters": 2, "r": 3.0, "ridge": 0.1, "tol": 1e-06,
     }
     kernels = [
         {"bandwidth": 5.129776716251439, "kind": "gaussian"},
@@ -320,7 +330,7 @@ def test_earlier_manifest_dicts_still_load():
     single = {
         "d": 4, "r": 3.0, "kappa": 0.1, "eta": -1.0, "kernel": {"kind": "linear"},
         "graph": {"kind": "lda"}, "max_iters": 30, "tol": 1e-06, "ridge": 1e-08,
-        "center_kernel": True, "seed": 0,
+        "center_kernel": True,
     }
     assert KmsaConfig.from_dict(single) == KmsaConfig(
         d=4, kernel=KernelSpec(kind="linear"), graph=GraphRecipe(kind="lda"), center_kernel=True
