@@ -103,7 +103,8 @@ def load_dataset(dir_path) -> MultiviewDataset:
     """Load view_<k>.csv files (rows are samples) plus optional labels.csv.
 
     Views are transposed to the column-major D_v x N convention and ordered by
-    ascending k.
+    ascending k. A dataset that MultiviewDataset rejects raises FormatError
+    with the rule's message and the files it judged.
     """
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
@@ -118,29 +119,14 @@ def load_dataset(dir_path) -> MultiviewDataset:
     if not found:
         raise IoError(f"no view_<k>.csv files in {dir_path}")
     found.sort()
-    views = []
-    n_ref, ref_name = None, None
-    for _, p in found:
-        A = read_matrix_csv(p)
-        if n_ref is None:
-            n_ref, ref_name = A.shape[0], p.name
-        elif A.shape[0] != n_ref:
-            raise FormatError(
-                f"{p.name} has {A.shape[0]} samples but {ref_name} has {n_ref}"
-            )
-        views.append(A.T)
-    labels = None
+    views = [read_matrix_csv(p).T for _, p in found]
     labels_path = dir_path / "labels.csv"
-    if labels_path.exists():
-        raw = read_matrix_csv(labels_path).ravel()
-        if len(raw) != n_ref:
-            raise FormatError(
-                f"labels.csv has {len(raw)} entries for {n_ref} samples"
-            )
-        labels = raw.astype(int)
-        if not np.array_equal(labels, raw):
-            raise FormatError("labels.csv must contain integers")
-    return MultiviewDataset(views=views, labels=labels)
+    labels = read_matrix_csv(labels_path).ravel() if labels_path.exists() else None
+    try:
+        return MultiviewDataset(views=views, labels=labels)
+    except ConfigError as exc:  # the rule numbers views from 0, in file order
+        named = [labels_path] if exc.code.startswith("labels_") else [p for _, p in found]
+        raise FormatError(f"{dir_path}: {exc} (from {', '.join(p.name for p in named)})") from exc
 
 
 def save_dataset(data: MultiviewDataset, dir_path) -> None:
@@ -209,9 +195,7 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
         "kernels": [k.to_dict() for k in model.kernels],
         "log": list(model.log),
     }
-    (path / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_report(manifest, path / "manifest.json")
     for v, (U, Y) in enumerate(zip(model.coefficients, model.embeddings), start=1):
         write_matrix_csv(path / f"coefficients_{v}.csv", U)
         write_matrix_csv(path / f"embedding_{v}.csv", Y)

@@ -322,12 +322,12 @@ def transform(model: KmsaModel, new_views, data: MultiviewDataset):
         raise DimensionError(f"expected {m} views, got {len(new_views)}")
     if data.n_views != m:
         raise DimensionError(f"training dataset has {data.n_views} views, model has {m}")
-    new_views = [np.asarray(X, dtype=float) for X in new_views]
+    new_views = MultiviewDataset(new_views).views  # ConfigError for malformed views
     for v, (X_train, X_new, U) in enumerate(zip(data.views, new_views, model.coefficients)):
-        if X_new.ndim != 2 or X_new.shape[0] != X_train.shape[0]:
+        if X_new.shape[0] != X_train.shape[0]:
             raise DimensionError(
-                f"view {v}: new points have {X_new.shape[0] if X_new.ndim == 2 else 'bad'}"
-                f" features, training data has {X_train.shape[0]}"
+                f"view {v}: new points have {X_new.shape[0]} features, "
+                f"training data has {X_train.shape[0]}"
             )
         if X_train.shape[1] != U.shape[0]:
             raise DimensionError(

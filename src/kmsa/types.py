@@ -1,14 +1,15 @@
-"""Core domain types and configuration validation.
+"""Core domain types and their rules.
 
 Conventions: feature matrices are column-major in samples (a view is D_v x N,
 one column per sample); labels are non-negative integer class ids, names that
-need not be contiguous (the lda graph compacts them).
+need not be contiguous (the lda graph compacts them). MultiviewDataset judges a
+dataset when it is built, validate_config a config against a dataset.
 All types are frozen dataclasses and safe to share read-only across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -19,19 +20,6 @@ KERNEL_KINDS = ("gaussian", "linear", "polynomial")
 GRAPH_KINDS = ("pca", "lpp", "lda", "spp")
 
 MEDIAN = "median"  # sentinel: resolve the Gaussian bandwidth by the median heuristic
-
-
-def _to_dict(spec) -> dict:
-    """Every field of a config dataclass as a JSON value; nested specs nest."""
-    out = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, (KernelSpec, GraphRecipe)):
-            value = value.to_dict()
-        elif isinstance(value, (list, tuple)):
-            value = [v.to_dict() for v in value]
-        out[f.name] = value
-    return out
 
 
 def _json_value(owner: str, name: str, annotation: str, value):
@@ -58,7 +46,7 @@ def _from_dict(cls, raw):
     defaults of the field declarations.
 
     A field whose default_factory is a spec class (kernel, graph) takes one
-    object or a list with one object per view.
+    object or a list (or to_dict's tuple) with one object per view.
     """
     owner = cls.__name__
     if not isinstance(raw, dict):
@@ -72,7 +60,7 @@ def _from_dict(cls, raw):
         spec = declared[name].default_factory
         if spec not in (KernelSpec, GraphRecipe):
             kwargs[name] = _json_value(owner, name, declared[name].type, value)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             kwargs[name] = tuple(spec.from_dict(v) for v in value)
         else:
             kwargs[name] = spec.from_dict(value)
@@ -93,7 +81,7 @@ class KernelSpec:
     degree: int = 2
     offset: float = 1.0
 
-    to_dict = _to_dict
+    to_dict = asdict
     from_dict = classmethod(_from_dict)
 
 
@@ -116,13 +104,18 @@ class GraphRecipe:
     lasso_lambda: float = 0.1
     lasso_max_iters: int = 500
 
-    to_dict = _to_dict
+    to_dict = asdict
     from_dict = classmethod(_from_dict)
+
+
+def _check(cond: bool, code: str, message: str) -> None:
+    if not cond:
+        raise ConfigError(code, message)
 
 
 def _class_ids(labels) -> np.ndarray:
     """labels as ints when every entry is an integral number, else as given,
-    for validate_config to reject: a cast would truncate 1.5 to 1."""
+    for MultiviewDataset to reject: a cast would truncate 1.5 to 1."""
     raw = np.asarray(labels)
     # NaN, infinity and floats beyond int64 fail the bound
     integral = raw.dtype.kind in "biu" or (
@@ -133,16 +126,35 @@ def _class_ids(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiviewDataset:
-    """m feature views over the same N samples, optionally labeled."""
+    """m >= 1 feature views over the same N samples, optionally with one class
+    id per sample; building a dataset that breaks a rule raises ConfigError.
+    N may be 0 or 1: two samples are a rule of a fit (validate_config)."""
 
     views: tuple
     labels: Optional[np.ndarray] = None
 
     def __init__(self, views, labels=None):
-        object.__setattr__(
-            self, "views", tuple(np.asarray(v, dtype=float) for v in views)
-        )
-        object.__setattr__(self, "labels", None if labels is None else _class_ids(labels))
+        views = tuple(np.asarray(v, dtype=float) for v in views)
+        labels = None if labels is None else _class_ids(labels)
+        _check(len(views) >= 1, "empty_views", "dataset must contain at least one view")
+        for v, X in enumerate(views):  # before n, which reads view 0's shape
+            _check(X.ndim == 2, "bad_view_shape", f"view {v} is not a matrix")
+        n = views[0].shape[1]
+        for v, X in enumerate(views):
+            _check(X.shape[0] >= 1, "empty_view", f"view {v} has no features")
+            message = f"view {v} has {X.shape[1]} samples, view 0 has {n}"
+            _check(X.shape[1] == n, "mismatched_samples", message)
+        if labels is not None:
+            _check(labels.ndim == 1, "labels_shape", "labels must be a vector of class ids")
+            _check(len(labels) == n, "labels_length", f"got {len(labels)} labels for {n} samples")
+            _check(
+                labels.dtype.kind == "i",
+                "labels_not_integer",
+                f"class ids must be integers, got {labels.dtype} entries",
+            )
+            _check((labels >= 0).all(), "labels_negative", "class ids must be >= 0")
+        object.__setattr__(self, "views", views)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_views(self) -> int:
@@ -150,7 +162,7 @@ class MultiviewDataset:
 
     @property
     def n_samples(self) -> int:
-        return self.views[0].shape[1] if self.views else 0
+        return self.views[0].shape[1]
 
     def subset(self, idx) -> "MultiviewDataset":
         """Column subset (same m views restricted to the given samples)."""
@@ -191,7 +203,7 @@ class KmsaConfig:
             return (self.graph,) * m
         return tuple(self.graph)
 
-    to_dict = _to_dict
+    to_dict = asdict  # specs nest as dicts; a per-view tuple stays a tuple, a JSON list
 
     @classmethod
     def from_dict(cls, d: dict) -> "KmsaConfig":
@@ -233,43 +245,13 @@ class KmsaModel:
     kernel_means: Optional[tuple] = None
 
 
-def _check(cond: bool, code: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(code, message)
-
-
 def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
-    """Raise ConfigError unless cfg and data jointly satisfy every invariant.
-
-    Pure function: same inputs always produce the same outcome.
-    """
+    """Raise ConfigError unless cfg is valid and data is what a fit of cfg
+    needs (two samples, d <= N, labels for lda); MultiviewDataset checks the
+    rest of a dataset. Pure function: same inputs, same outcome."""
     m = data.n_views
-    _check(m >= 1, "empty_views", "dataset must contain at least one view")
-    for v, X in enumerate(data.views):  # before n, which reads view 0's shape
-        _check(X.ndim == 2, "bad_view_shape", f"view {v} is not a matrix")
     n = data.n_samples
     _check(n >= 2, "too_few_samples", f"need at least 2 samples, got {n}")
-    for v, X in enumerate(data.views):
-        _check(X.shape[0] >= 1, "empty_view", f"view {v} has no features")
-        _check(
-            X.shape[1] == n,
-            "mismatched_samples",
-            f"view {v} has {X.shape[1]} samples, view 0 has {n}",
-        )
-    if data.labels is not None:
-        _check(data.labels.ndim == 1, "labels_shape", "labels must be a vector of class ids")
-        _check(
-            len(data.labels) == n,
-            "labels_length",
-            f"got {len(data.labels)} labels for {n} samples",
-        )
-        _check(
-            data.labels.dtype.kind == "i",
-            "labels_not_integer",
-            f"class ids must be integers, got {data.labels.dtype} entries",
-        )
-        _check((data.labels >= 0).all(), "labels_negative", "class ids must be >= 0")
-
     _check(cfg.d >= 1, "d_not_positive", "d must be a positive integer")
     _check(cfg.d <= n, "d_exceeds_n", f"d={cfg.d} exceeds sample count {n}")
     _check(cfg.r > 1.0, "r_not_gt_1", "r must exceed 1")

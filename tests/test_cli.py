@@ -148,6 +148,53 @@ class TestFit:
         assert code == 1
         assert "kapa" in err
 
+    def test_config_directory_exits_two(self, synth_dir, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot read ")
+
+    @pytest.mark.parametrize(
+        "files, message",
+        [
+            ({"view_2.csv": "1\n2\n3\n"},
+             "view 1 has 3 samples, view 0 has 4 (from view_1.csv, view_2.csv)"),
+            ({"labels.csv": "0\n1\n"}, "got 2 labels for 4 samples (from labels.csv)"),
+            ({"labels.csv": "0\n1.5\n0\n1\n"},
+             "class ids must be integers, got float64 entries (from labels.csv)"),
+            ({"labels.csv": "0\n-1\n0\n1\n"}, "class ids must be >= 0 (from labels.csv)"),
+        ],
+        ids=["sample-counts", "labels-count", "fractional-id", "negative-id"],
+    )
+    def test_each_dataset_file_fault_exits_two(self, tmp_path, capsys, files, message):
+        # MultiviewDataset judges a dataset once; a file that breaks one of its
+        # rules is a file-format failure that names the directory and the file
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name, text in {"view_1.csv": "1\n2\n3\n4\n", **files}.items():
+            (bad / name).write_text(text)
+        code, _, err = run(
+            capsys, "fit", "--data", str(bad), "--out", str(tmp_path / "o"),
+            "--config", str(write_config(tmp_path, d=1)),
+        )
+        assert code == 2
+        assert err == f"error: {bad}: {message}\n"
+
+    def test_underflowing_median_heat_exits_one(self, tmp_path, capsys):
+        # the lpp median heat of these four points squares to 0
+        tiny = tmp_path / "tiny"
+        tiny.mkdir()
+        (tiny / "view_1.csv").write_text("0\n0\n0\n2.3e-162\n")
+        cfg = write_config(tmp_path, d=1, graph={"kind": "lpp", "k": 2})
+        code, _, err = run(
+            capsys, "fit", "--data", str(tiny), "--out", str(tmp_path / "o"),
+            "--config", str(cfg),
+        )
+        assert code == 1
+        assert "underflows to 0" in err
+
     @pytest.mark.parametrize(
         "graph, message",
         [
@@ -193,6 +240,20 @@ class TestFit:
         assert code == 0
         manifest = json.loads((out / "model" / "manifest.json").read_text())
         assert manifest["config"]["graph"]["kind"] == "lpp"
+
+    def test_recipe_flag_overrides_per_view_graphs(self, synth_dir, tmp_path, capsys):
+        graphs = [{"kind": "pca"}, {"kind": "spp", "lasso_lambda": 0.05}, {"kind": "lda"}]
+        cfg = write_config(tmp_path, graph=graphs, max_iters=0)
+        out = tmp_path / "lpp_run"
+        code, _, _ = run(
+            capsys, "fit", "--data", str(synth_dir), "--out", str(out),
+            "--config", str(cfg), "--recipe", "lpp",
+        )
+        assert code == 0
+        manifest = json.loads((out / "model" / "manifest.json").read_text())
+        written = manifest["config"]["graph"]
+        assert [g["kind"] for g in written] == ["lpp"] * 3
+        assert [g["lasso_lambda"] for g in written] == [0.1, 0.05, 0.1]
 
 
 class TestTransform:
@@ -390,6 +451,15 @@ class TestEval:
             "--repeats", "1", "--train-frac", "1.5",
         )
         assert code == 1
+
+    def test_zero_repeats_exits_one(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code, _, err = run(
+            capsys, "eval", "--task", "classify", "--data", str(synth_dir),
+            "--config", str(cfg), "--out", str(tmp_path / "x.json"), "--repeats", "0",
+        )
+        assert code == 1
+        assert "--repeats must be >= 1" in err
 
     @pytest.mark.filterwarnings("ignore::kmsa.errors.WeightDomainWarning")
     def test_lda_split_without_class_zero(self, tmp_path, capsys):

@@ -227,6 +227,12 @@ class TestLoadDataset:
         data = load_dataset(tmp_path)
         assert [v[0, 0] for v in data.views] == [1.0, 2.0, 10.0]
 
+    def test_view_without_a_number_is_ignored(self, tmp_path):
+        (tmp_path / "view_1.csv").write_text("1,0\n2,0\n")
+        (tmp_path / "view_a.csv").write_text("not,a\nview,file\nat,all\n")
+        data = load_dataset(tmp_path)
+        assert data.n_views == 1 and data.views[0][0].tolist() == [1.0, 2.0]
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoError):
             load_dataset(tmp_path / "nope")

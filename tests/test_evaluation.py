@@ -39,6 +39,10 @@ class TestKnn:
         assert knn_classify(train, [0, 1], test, [0]) == 1.0
         assert knn_classify(train, [1, 0], test, [0]) == 0.0
 
+    def test_no_test_columns_score_zero(self, rng):
+        assert knn_classify(rng.standard_normal((3, 4)), [0, 1, 0, 1],
+                            np.empty((3, 0)), []) == 0.0
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             knn_classify(rng.standard_normal((3, 4)), [0] * 4,

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmsa import GraphError, KernelSpec, NumericError, build_kernel, graphs
+from kmsa import (
+    GraphError,
+    GraphRecipe,
+    KernelSpec,
+    KmsaConfig,
+    MultiviewDataset,
+    NumericError,
+    build_kernel,
+    fit,
+    graphs,
+)
 from kmsa.eigsolver import pencil_eigh
 from kmsa.graphs import (
     constraint_matrix,
@@ -143,6 +153,13 @@ class TestLppGraph:
         dists.median = 1e-170
         with pytest.raises(GraphError, match="underflows to 0"):
             lpp_graph(X, k=2, heat="median", dists=dists)
+
+    def test_median_heat_underflows_in_a_fit(self):
+        # an even count of distances has the mean of the middle two as its
+        # median: (0 + 2.2e-162) / 2 = 1.1e-162, whose square rounds to 0
+        data = MultiviewDataset([np.array([[0.0, 0.0, 0.0, 2.3e-162]])])
+        with pytest.raises(GraphError, match=r"1\.11\d*e-162\*\*2 underflows to 0"):
+            fit(data, KmsaConfig(d=1, graph=GraphRecipe(kind="lpp", k=2)))
 
     @settings(max_examples=60, deadline=None)
     @given(

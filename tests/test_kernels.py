@@ -43,6 +43,11 @@ def test_median_bandwidth_line():
     assert median_heuristic_bandwidth(X) == pytest.approx(1.5)
 
 
+def test_median_bandwidth_of_one_sample_raises():
+    with pytest.raises(NumericError, match="at least 2 samples"):
+        median_heuristic_bandwidth(np.ones((3, 1)))
+
+
 def test_exact_symmetry(rng):
     X = rng.standard_normal((4, 15))
     for spec in [

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kmsa import (
+    ConfigError,
     ConvergenceWarning,
     DimensionError,
     GraphRecipe,
@@ -716,6 +717,25 @@ class TestTransform:
         bad = [np.vstack([v, v]) for v in data.views]
         with pytest.raises(DimensionError):
             transform(model, bad, data)
+        with pytest.raises(DimensionError, match="training dataset has 3 views"):
+            transform(model, data.views, random_dataset(rng, m=3, n=10))
+        with pytest.raises(DimensionError, match="8 samples, model was fitted on 10"):
+            transform(model, data.views, data.subset(range(8)))
+
+    def test_new_views_are_one_dataset(self, rng):
+        # each new point is a sample of every view
+        data = random_dataset(rng, m=2, n=10)
+        model = fit(data, KmsaConfig(d=2, max_iters=0))
+        with pytest.raises(ConfigError) as exc:
+            transform(model, [data.views[0][:, :4], data.views[1][:, :3]], data)
+        assert exc.value.code == "mismatched_samples"
+
+    def test_unknown_kernel_kind_raises(self, rng):
+        data = random_dataset(rng, m=2, n=10)
+        model = fit(data, KmsaConfig(d=2, max_iters=0))
+        rbf = replace(model, kernels=tuple(replace(k, kind="rbf") for k in model.kernels))
+        with pytest.raises(NumericError, match="unknown kernel kind 'rbf'"):
+            transform(rbf, data.views, data)
 
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
@@ -113,50 +114,73 @@ def _views(*shapes):
     return [rng.standard_normal(shape) for shape in shapes]
 
 
+# a rule of the dataset alone, which MultiviewDataset enforces when it is
+# built; the rows with a cfg_kw dict are fit rules, which validate_config enforces
+BUILD = object()
+
 DATASET_VIOLATIONS = [
-    (dict(views=[]), {}, "empty_views"),
-    (dict(views=_views((3, 1))), dict(d=1), "too_few_samples"),
-    (dict(views=[np.ones(5)]), dict(d=1), "bad_view_shape"),  # view 0 gives N
-    (dict(views=_views((3, 5), (2, 5, 1))), {}, "bad_view_shape"),
-    (dict(views=_views((3, 5), (0, 5))), {}, "empty_view"),
-    (dict(views=_views((3, 5), (2, 4))), {}, "mismatched_samples"),
-    (dict(views=_views((3, 5)), labels=[0, 1]), {}, "labels_length"),
-    (dict(views=_views((3, 5)), labels=[[0], [1], [1], [0], [1]]), {}, "labels_shape"),
-    (dict(views=_views((3, 5)), labels=[0, 1, -1, 0, 1]), {}, "labels_negative"),
+    (dict(views=[]), BUILD, "empty_views"),
+    (dict(views=_views((3, 1))), dict(d=1), "too_few_samples"),  # one sample is a dataset
+    (dict(views=[np.ones(5)]), BUILD, "bad_view_shape"),  # view 0 gives N
+    (dict(views=_views((3, 5), (2, 5, 1))), BUILD, "bad_view_shape"),
+    (dict(views=_views((3, 5), (0, 5))), BUILD, "empty_view"),
+    (dict(views=_views((3, 5), (2, 4))), BUILD, "mismatched_samples"),
+    (dict(views=_views((3, 5)), labels=[0, 1]), BUILD, "labels_length"),
+    (dict(views=_views((3, 5)), labels=[[0], [1], [1], [0], [1]]), BUILD, "labels_shape"),
+    (dict(views=_views((3, 5)), labels=[0, 1, -1, 0, 1]), BUILD, "labels_negative"),
     (dict(views=_views((3, 5))), dict(graph=GraphRecipe(kind="lda")), "lda_requires_labels"),
-    (dict(views=_views((3, 5)), labels=[0.0, 1.5, 1.7, 0.0, 1.0]), {}, "labels_not_integer"),
-    (dict(views=_views((3, 5)), labels=["a", "b", "a", "b", "a"]), {}, "labels_not_integer"),
+    (dict(views=_views((3, 5)), labels=[0.0, 1.5, 1.7, 0.0, 1.0]), BUILD, "labels_not_integer"),
+    (dict(views=_views((3, 5)), labels=["a", "b", "a", "b", "a"]), BUILD, "labels_not_integer"),
 ]
 
 
 @pytest.mark.parametrize("data_kw, cfg_kw, code", DATASET_VIOLATIONS)
 def test_each_dataset_violation_has_a_code(data_kw, cfg_kw, code):
-    with pytest.raises(ConfigError) as exc:
-        validate_config(KmsaConfig(**{"d": 2, **cfg_kw}), MultiviewDataset(**data_kw))
+    if cfg_kw is BUILD:  # a malformed dataset cannot be built
+        with pytest.raises(ConfigError) as exc:
+            MultiviewDataset(**data_kw)
+    else:
+        data = MultiviewDataset(**data_kw)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(KmsaConfig(**{"d": 2, **cfg_kw}), data)
     assert exc.value.code == code
 
 
 def test_integral_labels_load_as_class_ids():
-    # fractional ids are left for validate_config to reject, not truncated
-    assert MultiviewDataset(_views((3, 2)), labels=[0.0, 1.5]).labels.tolist() == [0.0, 1.5]
+    # fractional ids are rejected, not truncated
+    with pytest.raises(ConfigError) as exc:
+        MultiviewDataset(_views((3, 2)), labels=[0.0, 1.5])
+    assert exc.value.code == "labels_not_integer"
     for labels in ([0.0, 1.0], [0, 1], np.array([0, 1], dtype=np.uint8), [False, True]):
         ids = MultiviewDataset(_views((3, 2)), labels=labels).labels
         assert ids.dtype == int and ids.tolist() == [0, 1]
     validate_config(KmsaConfig(d=1), MultiviewDataset(_views((3, 2)), labels=[0.0, 1.0]))
 
 
-def test_every_rule_has_a_case():
-    # the two tables above are the only tests of the rules the graph builders
-    # trust; each code validate_config can raise must have a row
-    tree = ast.parse(inspect.getsource(validate_config))
+def _codes(function) -> set:
+    """The ConfigError codes that function raises by name, through _check or
+    directly."""
     raised = set()
-    for call in ast.walk(tree):
+    for call in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
             position = {"_check": 1, "ConfigError": 0}.get(call.func.id)
             if position is not None:
                 assert isinstance(call.args[position], ast.Constant)
                 raised.add(call.args[position].value)
-    assert {code for *_, code in CONFIG_VIOLATIONS + DATASET_VIOLATIONS} == raised
+    return raised
+
+
+def test_every_rule_has_a_case():
+    # the two tables above are the only tests of the rules the graph builders
+    # trust; each code the dataset constructor or validate_config can raise
+    # must have a row, and a dataset rule's row builds nothing else
+    dataset_rules = _codes(MultiviewDataset.__init__)
+    fit_rules = _codes(validate_config)
+    assert not dataset_rules & fit_rules
+    assert {code for _, cfg_kw, code in DATASET_VIOLATIONS if cfg_kw is BUILD} == dataset_rules
+    assert {code for *_, code in CONFIG_VIOLATIONS + DATASET_VIOLATIONS} == (
+        dataset_rules | fit_rules
+    )
 
 
 def test_config_dict_round_trip():
