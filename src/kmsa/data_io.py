@@ -100,7 +100,8 @@ def _parse_rows(lines, start, path) -> np.ndarray:
 
 
 def load_dataset(dir_path) -> MultiviewDataset:
-    """Load view_<k>.csv files (rows are samples) plus optional labels.csv.
+    """Load view_<k>.csv files (rows are samples) plus optional labels.csv
+    (one class id per line).
 
     Views are transposed to the column-major D_v x N convention and ordered by
     ascending k. A dataset that MultiviewDataset rejects raises FormatError
@@ -121,7 +122,9 @@ def load_dataset(dir_path) -> MultiviewDataset:
     found.sort()
     views = [read_matrix_csv(p).T for _, p in found]
     labels_path = dir_path / "labels.csv"
-    labels = read_matrix_csv(labels_path).ravel() if labels_path.exists() else None
+    labels = read_matrix_csv(labels_path) if labels_path.exists() else None
+    if labels is not None and labels.shape[1] == 1:  # one id per line
+        labels = labels[:, 0]
     try:
         return MultiviewDataset(views=views, labels=labels)
     except ConfigError as exc:  # the rule numbers views from 0, in file order

@@ -6,16 +6,18 @@ lowers it by a rank-(m-1)d coupling and is solved in that eigenbasis by
 eigsolver.secular_smallest; the first, uncoupled updates read their pairs
 off the spectrum.
 
-Objective convention. The recorded objective is
+Objective convention. With g_v = tr(U_v^T K_v P_v K_v U_v) and the pair sums
+p_v = sum_{w != v} ||U_w^T U_v||_F^2, the recorded objective and the weight
+step's per-view traces are
 
-    G = sum_v alpha_v^r tr(U_v^T K_v P_v K_v U_v) + kappa * sum_v alpha_v^r
-      + sum_{v<w} ((alpha_v^r + alpha_w^r) / (2 eta)) * ||U_w^T U_v||_F^2
+    G   = sum_v alpha_v^r (g_v + kappa + p_v / (2 eta))
+    t_v = g_v + (r kappa / N) ||U_v||_F^2 + p_v / (2 eta)
 
-Each unordered view pair contributes once, and the pair term is the squared
-Frobenius norm of the cross-Gram U_w^T U_v; since eta < 0, lowering G aligns
-the coefficient subspaces of every pair. Under this convention the per-view
+and differ only in kappa against (r kappa / N) ||U_v||_F^2. Since eta < 0,
+lowering G aligns the coefficient subspaces of every pair. The per-view
 eigenproblem below is the exact minimizer of G restricted to one U_v, which
-is what makes the trace monotone under the sweep.
+is what makes the trace monotone under the sweep. An update returns its g_v;
+a sweep's p_v serve both steps.
 
 The weight update assumes positive per-view trace terms; non-positive ones
 are clamped to a tiny floor and the event is recorded in the model log
@@ -70,37 +72,31 @@ def view_state(KPK, M) -> ViewState:
     return ViewState(lam=lam, B=B, E=M @ B, kpk_sq=kpk_sq)
 
 
-def trace_parts(views, Us) -> tuple:
-    """Per-view tr(U_v^T K P K_v U_v) and the symmetric matrix of pairwise
-    ||U_w^T U_v||_F^2 (zero diagonal)."""
-    m = len(views)
-    embed = np.array([float(np.sum(vs.kpk_forms(U))) for vs, U in zip(views, Us)])
+def pair_sums(Us) -> np.ndarray:
+    """Per-view p_v = sum_{w != v} ||U_w^T U_v||_F^2, as the row sums of the
+    symmetric matrix of pair norms (zero diagonal)."""
+    m = len(Us)
     cross = np.zeros((m, m))
     for v in range(m):
         for w in range(v + 1, m):
             C = Us[w].T @ Us[v]
             cross[v, w] = cross[w, v] = float(np.sum(C * C))
-    return embed, cross
+    return cross.sum(axis=1)
 
 
-def objective_terms(embed, cross, alpha: np.ndarray, cfg: KmsaConfig) -> dict:
-    """The three objective components, from the trace parts and the weights."""
+def objective_terms(g, p, alpha: np.ndarray, cfg: KmsaConfig) -> dict:
+    """The three objective components, from the per-view graph terms g, the
+    pair sums p and the weights."""
     a_r = alpha ** cfg.r
-    m = len(embed)
-    align = sum(
-        (a_r[v] + a_r[w]) / (2.0 * cfg.eta) * cross[v, w]
-        for v in range(m)
-        for w in range(v + 1, m)
-    )
     return {
-        "embedding": float(sum(a_r * embed)),
+        "embedding": float(sum(a_r * g)),
         "weight_regularizer": cfg.kappa * float(np.sum(a_r)),
-        "alignment": float(align),
+        "alignment": float(a_r @ p) / (2.0 * cfg.eta),
     }
 
 
-def objective(embed, cross, alpha: np.ndarray, cfg: KmsaConfig) -> float:
-    return sum(objective_terms(embed, cross, alpha, cfg).values())
+def objective(g, p, alpha: np.ndarray, cfg: KmsaConfig) -> float:
+    return sum(objective_terms(g, p, alpha, cfg).values())
 
 
 def gram_divergence(U_i: np.ndarray, U_j: np.ndarray) -> float:
@@ -126,14 +122,15 @@ def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
     return c
 
 
-def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
-    """New coefficient matrix for view v: the d smallest generalized
+def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> tuple:
+    """New coefficient matrix V for view v and its graph term
+    g_v = tr(V^T K P K_v V), as (V, g_v). V holds the d smallest generalized
     eigenvectors of (H_v, M_v). In the view's eigenbasis the pencil is
     diag(lam) - Z Z^T with Z = B^T W |C|^{1/2}, W the other views'
     coefficients and C < 0 their coupling weights; secular_smallest solves it
     and V = B X. Each pair is checked with H_v V = E (lam E^T V) + W C W^T V
     and M_v V = E E^T V, and ||H_v||_F^2 expanded from kpk_sq and d x d
-    cross-Grams."""
+    cross-Grams. g_v is lam . (E^T V)^2, from the check's E^T V."""
     vs = views[v]
     c = np.repeat(_coupling(alpha, v, cfg), cfg.d)
     coupled = c < 0  # every view but v, since eta < 0
@@ -145,16 +142,15 @@ def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.nda
     F = vs.E.T @ V
     HV = vs.E @ (vs.lam[:, None] * F) + W @ (c[:, None] * (W.T @ V))
     check_pairs(w, HV, vs.E @ F, np.sqrt(max(h_sq, 0.0)))
-    return V
+    return V, float(np.sum(vs.lam @ (F * F)))
 
 
-def view_trace_terms(embed, cross, Us, cfg: KmsaConfig) -> np.ndarray:
-    """Per-view weight-update traces
-    tr(U_v^T K P K U_v) + (r kappa / N) ||U_v||_F^2
-    + sum_{w != v} ||U_w^T U_v||_F^2 / (2 eta), from the trace parts."""
+def view_trace_terms(g, p, Us, cfg: KmsaConfig) -> np.ndarray:
+    """Per-view weight-update traces t_v = g_v + (r kappa / N) ||U_v||_F^2
+    + p_v / (2 eta)."""
     n = Us[0].shape[0]
     norms = np.array([float(np.sum(U * U)) for U in Us])
-    return embed + (cfg.r * cfg.kappa / n) * norms + cross.sum(axis=1) / (2.0 * cfg.eta)
+    return g + (cfg.r * cfg.kappa / n) * norms + p / (2.0 * cfg.eta)
 
 
 def closed_form_weights(traces: np.ndarray, r: float):
@@ -241,19 +237,19 @@ def fit(
     m = data.n_views
 
     alpha = np.full(m, 1.0 / m)
-    Us = [np.zeros((data.n_samples, cfg.d)) for _ in range(m)]
-    # every U_v is still 0, so these first updates carry no coupling term
-    Us = [update_view(views, Us, alpha, v, cfg) for v in range(m)]
-    trace = [objective(*trace_parts(views, Us), alpha, cfg)]
+    zeros = [np.zeros((data.n_samples, cfg.d))] * m  # no coupling in the first updates
+    Us, g = map(list, zip(*(update_view(views, zeros, alpha, v, cfg) for v in range(m))))
+    g = np.array(g)
+    trace = [objective(g, pair_sums(Us), alpha, cfg)]
 
     warned_clamp = False
     for sweep in range(1, cfg.max_iters + 1):
         for v in range(m):
-            Us[v] = update_view(views, Us, alpha, v, cfg)
+            Us[v], g[v] = update_view(views, Us, alpha, v, cfg)
         # independent of alpha: serves the weight step and the objective
-        embed, cross = trace_parts(views, Us)
+        p = pair_sums(Us)
         if learn_weights:
-            traces = view_trace_terms(embed, cross, Us, cfg)
+            traces = view_trace_terms(g, p, Us, cfg)
             alpha, clamped = closed_form_weights(traces, cfg.r)
             if clamped.any():
                 which = np.nonzero(clamped)[0].tolist()
@@ -268,7 +264,7 @@ def fit(
                     )
 
         prev = trace[-1]
-        value = objective(embed, cross, alpha, cfg)
+        value = objective(g, p, alpha, cfg)
         trace.append(value)
         if value > prev + MONOTONE_SLACK * (1.0 + abs(prev)):
             log.append(f"sweep {sweep}: objective rose from {prev!r} to {value!r}")

@@ -165,8 +165,13 @@ class TestFit:
             ({"labels.csv": "0\n1.5\n0\n1\n"},
              "class ids must be integers, got float64 entries (from labels.csv)"),
             ({"labels.csv": "0\n-1\n0\n1\n"}, "class ids must be >= 0 (from labels.csv)"),
+            ({"labels.csv": "0,1\n1,0\n"},
+             "labels must be a vector of class ids (from labels.csv)"),
+            ({"labels.csv": "0,1,1,0\n"},
+             "labels must be a vector of class ids (from labels.csv)"),
         ],
-        ids=["sample-counts", "labels-count", "fractional-id", "negative-id"],
+        ids=["sample-counts", "labels-count", "fractional-id", "negative-id",
+             "ids-in-columns", "ids-in-one-row"],
     )
     def test_each_dataset_file_fault_exits_two(self, tmp_path, capsys, files, message):
         # MultiviewDataset judges a dataset once; a file that breaks one of its

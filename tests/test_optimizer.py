@@ -42,7 +42,7 @@ from kmsa.optimizer import (
     gram_divergence,
     objective,
     objective_terms,
-    trace_parts,
+    pair_sums,
     update_view,
     view_state,
     view_trace_terms,
@@ -90,6 +90,13 @@ def make_state(rng, m=2, n=6, d=2):
     return views, Us, np.full(m, 1.0 / m), Ks
 
 
+def parts(views, Us):
+    """(g, p) for any coefficients: each view's tr(U_v^T K P K U_v) from its
+    eigenbasis, and the pair sums."""
+    g = np.array([float(np.sum(vs.kpk_forms(U))) for vs, U in zip(views, Us)])
+    return g, pair_sums(Us)
+
+
 def fitted_constraint(data, model, v):
     """View v's ridged constraint M, recomputed from the data and the model's
     resolved kernel spec exactly as fit builds it."""
@@ -107,7 +114,7 @@ class TestObjective:
         cfg = KmsaConfig(d=2)
         K, U = Ks[0], Us[0]
         expected = np.trace(U.T @ K @ pca_p(6) @ K @ U) + cfg.kappa
-        assert objective(*trace_parts(views, Us), alpha, cfg) == pytest.approx(
+        assert objective(*parts(views, Us), alpha, cfg) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -116,7 +123,7 @@ class TestObjective:
         views, Us, alpha, _ = make_state(rng, m=m)
         Us = [np.zeros_like(U) for U in Us]
         cfg = KmsaConfig(d=2)
-        assert objective(*trace_parts(views, Us), alpha, cfg) == pytest.approx(
+        assert objective(*parts(views, Us), alpha, cfg) == pytest.approx(
             cfg.kappa * m * (1.0 / m) ** cfg.r, rel=1e-12
         )
 
@@ -139,7 +146,7 @@ class TestObjective:
         # one unordered pair; d=1 makes the alignment trace a squared dot
         align = (alpha[0] ** r + alpha[1] ** r) / (2 * eta) * (u2.T @ u1).item() ** 2
         cfg = KmsaConfig(d=1, r=r, kappa=kappa, eta=eta)
-        assert objective(*trace_parts(views, [u1, u2]), alpha, cfg) == pytest.approx(
+        assert objective(*parts(views, [u1, u2]), alpha, cfg) == pytest.approx(
             embed + reg + align, rel=1e-12
         )
 
@@ -147,10 +154,10 @@ class TestObjective:
         views, Us, _, _ = make_state(rng, m=3, d=2)
         alpha = np.array([0.5, 0.3, 0.2])
         cfg = KmsaConfig(d=2)
-        parts = trace_parts(views, Us)
-        terms = objective_terms(*parts, alpha, cfg)
+        gp = parts(views, Us)
+        terms = objective_terms(*gp, alpha, cfg)
         total = terms["embedding"] + terms["weight_regularizer"] + terms["alignment"]
-        assert objective(*parts, alpha, cfg) == pytest.approx(total, abs=1e-10)
+        assert objective(*gp, alpha, cfg) == pytest.approx(total, abs=1e-10)
 
 
 @st.composite
@@ -187,7 +194,7 @@ class TestDenseReferences:
     def test_view_trace_terms_match_dense_j(self, problem):
         views, Us, alpha, cfg, Ks, Ps = problem
         want, scale = dense_trace_terms(Ks, Ps, Us, cfg.r, cfg.kappa, cfg.eta)
-        got = view_trace_terms(*trace_parts(views, Us), Us, cfg)
+        got = view_trace_terms(*parts(views, Us), Us, cfg)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
 
@@ -198,12 +205,32 @@ class TestDenseReferences:
         want, scale = dense_objective_terms(
             Ks, Ps, Us, alpha, cfg.r, cfg.kappa, cfg.eta
         )
-        got = objective_terms(*trace_parts(views, Us), alpha, cfg)
+        got = objective_terms(*parts(views, Us), alpha, cfg)
         assert abs(got["embedding"] - want["embedding"]) <= 1e-12 * max(
             abs(want["embedding"]), scale
         )
         for key in ("weight_regularizer", "alignment"):
             assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-300)
+
+
+class TestSharedTerms:
+    """The recorded objective and the weight step's traces are built from one
+    per-view (g, p); they differ in the weight-regularizer term alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace_problems())
+    def test_objective_and_traces_read_the_same_terms(self, problem):
+        views, Us, alpha, cfg, _, _ = problem
+        g, p = parts(views, Us)
+        a_r = alpha ** cfg.r
+        per_view = g + cfg.kappa + p / (2.0 * cfg.eta)
+        scale = np.abs(g) + cfg.kappa + np.abs(p / (2.0 * cfg.eta))
+        assert abs(objective(g, p, alpha, cfg) - a_r @ per_view) <= 1e-12 * (a_r @ scale)
+        # G's kappa against t_v's norm term: the gap of ROADMAP direction 1
+        n = Us[0].shape[0]
+        norms = (cfg.r * cfg.kappa / n) * np.array([np.sum(U * U) for U in Us])
+        gap = view_trace_terms(g, p, Us, cfg) - per_view
+        assert np.all(np.abs(gap - (norms - cfg.kappa)) <= 1e-12 * (scale + norms))
 
 
 class TestBuildH:
@@ -241,7 +268,7 @@ class TestUpdateView:
         H = np.diag([5.0, -1.0, 2.0, 0.0])
         views = [hand_state(np.eye(4), H, np.eye(4))]
         cfg = KmsaConfig(d=2)
-        U = update_view(views, [np.zeros((4, 2))], np.array([1.0]), 0, cfg)
+        U, _ = update_view(views, [np.zeros((4, 2))], np.array([1.0]), 0, cfg)
         # smallest diagonal entries are -1 then 0
         assert np.allclose(np.abs(U), np.array(
             [[0, 0], [1, 0], [0, 0], [0, 1]], dtype=float), atol=1e-12)
@@ -249,14 +276,14 @@ class TestUpdateView:
     def test_repeated_call_is_identical(self, rng):
         views, Us, alpha, _ = make_state(rng, m=2, d=2)
         cfg = KmsaConfig(d=2)
-        U1 = update_view(views, Us, alpha, 0, cfg)
-        U2 = update_view(views, Us, alpha, 0, cfg)
-        assert np.array_equal(U1, U2)
+        U1, g1 = update_view(views, Us, alpha, 0, cfg)
+        U2, g2 = update_view(views, Us, alpha, 0, cfg)
+        assert np.array_equal(U1, U2) and g1 == g2
 
     def test_result_is_constraint_orthonormal(self, rng):
         views, Us, alpha, Ks = make_state(rng, m=2, d=3, n=8)
         cfg = KmsaConfig(d=3)
-        U = update_view(views, Us, alpha, 1, cfg)
+        U, _ = update_view(views, Us, alpha, 1, cfg)
         M = constraint_matrix(Ks[1], pca_graph(8).B, ridge=1e-6)  # as make_state
         assert np.abs(U.T @ M @ U - np.eye(3)).max() < 1e-8
 
@@ -343,7 +370,8 @@ class TestCachedUpdate:
         M, d = Ms[v], cfg.d
         n = M.shape[0]
         H = build_h(kpks[v], Us, alpha, v, cfg.r, cfg.eta)
-        U = update_view(views, Us, alpha, v, cfg)
+        U, g = update_view(views, Us, alpha, v, cfg)
+        assert g == float(np.sum(views[v].kpk_forms(U)))
         lam, V = generalized_eigh(H, M, n)
         # Backward-stable solves move eigenvalues by O(eps) times the largest
         # one, and the Cholesky factor represents M to O(n eps cond(M)); both
@@ -662,6 +690,33 @@ class TestFit:
             warnings.simplefilter("ignore", WeightDomainWarning)
             fit(data, KmsaConfig(d=4, graph=GraphRecipe(kind="spp"), max_iters=2))
         assert calls == [4]
+
+    def test_objective_reads_no_eigenbasis(self, rng, monkeypatch):
+        # each update returns its g_v from the E^T V of its pair check, so
+        # kpk_forms runs once per update, for the coupling's norm, and the
+        # objective and the weight step read no view's eigenbasis
+        depth, calls, updates = [], [], []
+        real_forms, real_update = optimizer.ViewState.kpk_forms, optimizer.update_view
+
+        def forms(vs, Y):
+            calls.append(len(depth))
+            return real_forms(vs, Y)
+
+        def update(*args):
+            updates.append(args[3])
+            depth.append(None)
+            try:
+                return real_update(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(optimizer.ViewState, "kpk_forms", forms)
+        monkeypatch.setattr(optimizer, "update_view", update)
+        data = random_dataset(rng, m=3, n=15)
+        cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp", k=4), max_iters=4, tol=1e-300)
+        model = fit(data, cfg)
+        assert len(updates) == 3 * len(model.objective_trace) == 15
+        assert calls == [1] * len(updates)
 
     def test_determinism(self, rng):
         data = random_dataset(rng, m=2, n=10)
