@@ -65,18 +65,8 @@ def format_alpha(alpha) -> str:
 
 
 def write_fit_outputs(out_dir: Path, model, data) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """kmsa fit's outputs: the model, with its training set, under out_dir/model."""
     data_io.save_model(model, out_dir / "model", train_data=data)
-    for name, header, values in (
-        ("trace.csv", ["iteration", "objective"], model.objective_trace),
-        ("weights.csv", ["view", "alpha"], model.alpha),
-    ):
-        rows = np.column_stack([np.arange(len(values)), np.asarray(values)])
-        data_io.write_matrix_csv(out_dir / name, rows, header=header)
-    for v, Y in enumerate(model.embeddings, start=1):
-        data_io.write_matrix_csv(out_dir / f"embeddings_{v}.csv", Y.T)
-        # first two embedding dimensions, for external plotting
-        data_io.write_matrix_csv(out_dir / f"plot2d_{v}.csv", Y[: min(2, Y.shape[0])].T)
 
 
 def cmd_fit(args) -> int:
@@ -115,8 +105,7 @@ def cmd_transform(args) -> int:
     embedded = optimizer.transform(model, new.views, train)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for v, Y in enumerate(embedded, start=1):
-        data_io.write_matrix_csv(out_dir / f"embeddings_{v}.csv", Y.T)
+    data_io.save_embeddings(embedded, out_dir)
     print(
         summary_line(
             status="ok",

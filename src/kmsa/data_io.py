@@ -8,10 +8,10 @@ np.loadtxt. A file that loadtxt rejects, or that holds a non-finite value, is
 read again one cell at a time with float(): that parser accepts every spelling
 float() accepts (digit-group underscores, non-ASCII digits) and words every
 FormatError. A model is a directory holding manifest.json (sorted keys, with a
-format-version field) and per view v the coefficient matrix
-coefficients_<v>.csv, the training embedding embedding_<v>.csv and, for a
-centered model, the training kernel's row means kernel_means_<v>.csv (one per
-row), plus an optional train/ dataset.
+format-version field) and per view v, each file N rows of one sample: the
+coefficients coefficients_<v>.csv, the embedding embeddings_<v>.csv (as kmsa
+transform writes it) and, for a centered model, the training kernel's row
+means kernel_means_<v>.csv, plus an optional train/ dataset.
 """
 
 from __future__ import annotations
@@ -25,21 +25,19 @@ import numpy as np
 from .errors import ConfigError, FormatError, IoError, VersionError
 from .types import KERNEL_KINDS, KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_matrix_csv(path, A: np.ndarray, header=None) -> None:
+def write_matrix_csv(path, A: np.ndarray) -> None:
     """Write a matrix with one row per line; rows of A are file rows."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     row = ",".join(["%.17g"] * A.shape[1]) + "\n"
     text = (row * A.shape[0]) % tuple(A.ravel().tolist())
-    if header is not None:
-        text = ",".join(header) + "\n" + text
-    # a file with neither header nor rows is one empty line
+    # a file with no rows is one empty line
     Path(path).write_text(text or "\n", encoding="utf-8")
 
 
@@ -180,6 +178,13 @@ def generate_synthetic(
     return MultiviewDataset(views=views, labels=labels)
 
 
+def save_embeddings(embeddings, dir_path: Path) -> None:
+    """Write each view's d x N embedding as dir_path/embeddings_<v>.csv, one
+    sample per row: a model's training embeddings and kmsa transform's output."""
+    for v, Y in enumerate(embeddings, start=1):
+        write_matrix_csv(dir_path / f"embeddings_{v}.csv", Y.T)
+
+
 def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = None) -> None:
     """Write a model directory: manifest.json plus per-view coefficient,
     embedding and, for a centered model, kernel-mean CSVs.
@@ -191,7 +196,6 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "n_views": len(model.coefficients),
         "alpha": [format_float(a) for a in model.alpha],
         "objective_trace": [format_float(g) for g in model.objective_trace],
         "config": model.config.to_dict(),
@@ -199,9 +203,9 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
         "log": list(model.log),
     }
     save_report(manifest, path / "manifest.json")
-    for v, (U, Y) in enumerate(zip(model.coefficients, model.embeddings), start=1):
+    for v, U in enumerate(model.coefficients, start=1):
         write_matrix_csv(path / f"coefficients_{v}.csv", U)
-        write_matrix_csv(path / f"embedding_{v}.csv", Y)
+    save_embeddings(model.embeddings, path)
     for v, mu in enumerate(model.kernel_means or (), start=1):
         write_matrix_csv(path / f"kernel_means_{v}.csv", mu[:, None])
     if train_data is not None:
@@ -219,7 +223,8 @@ def _json_array(doc: dict, key: str, item=object) -> list:
 
 def load_model(path) -> KmsaModel:
     """Reload a model directory written by save_model. A manifest with a
-    missing, mistyped or invalid entry raises FormatError."""
+    missing, mistyped or invalid entry, or a per-view file that is missing or
+    misshapen, raises FormatError."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
@@ -231,47 +236,49 @@ def load_model(path) -> KmsaModel:
             f"model format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
     try:
-        n_views = manifest["n_views"]
         alpha = np.array([float(a) for a in _json_array(manifest, "alpha", str)])
         kernels = tuple(KernelSpec.from_dict(k) for k in _json_array(manifest, "kernels"))
         for spec in kernels:
             if spec.kind not in KERNEL_KINDS:
                 raise FormatError(f"{manifest_path}: unknown kernel kind {spec.kind!r}")
-        if type(n_views) is not int or not n_views == len(alpha) == len(kernels):
-            raise FormatError(
-                f"{manifest_path}: n_views {n_views!r} is not the integer count of "
-                f"its {len(alpha)} weights and {len(kernels)} kernels"
-            )
-        views = range(1, n_views + 1)
+        if len(kernels) != len(alpha):
+            raise FormatError(f"{manifest_path}: {len(alpha)} weights but {len(kernels)} kernels")
         config = KmsaConfig.from_dict(manifest["config"])
-        coefficients = tuple(read_matrix_csv(path / f"coefficients_{v}.csv") for v in views)
+        m, d = len(alpha), config.d
+        coefficients = _read_view_matrices(path, "coefficients", m, d)
+        n = len(coefficients[0]) if m else 0
+        means = None
+        if config.center_kernel:
+            means = tuple(mu[:, 0] for mu in _read_view_matrices(path, "kernel_means", m, 1, n))
         return KmsaModel(
             coefficients=coefficients,
             alpha=alpha,
             objective_trace=tuple(float(g) for g in _json_array(manifest, "objective_trace", str)),
-            embeddings=tuple(read_matrix_csv(path / f"embedding_{v}.csv") for v in views),
+            embeddings=tuple(Y.T for Y in _read_view_matrices(path, "embeddings", m, d, n)),
             config=config,
             kernels=kernels,
             log=tuple(_json_array({"log": [], **manifest}, "log", str)),
-            kernel_means=_read_means(path, coefficients) if config.center_kernel else None,
+            kernel_means=means,
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
 
 
-def _read_means(path: Path, coefficients) -> tuple:
-    """A centered model's training-kernel row means, per view one value for
-    each training sample; FormatError when a file is missing or misshapen."""
-    means = []
-    for v, U in enumerate(coefficients, start=1):
-        file = path / f"kernel_means_{v}.csv"
+def _read_view_matrices(path: Path, name: str, m: int, cols: int, rows=None) -> tuple:
+    """<name>_1.csv to <name>_<m>.csv of a model directory, each rows x cols,
+    rows defaulting to the first file's; FormatError names a missing or
+    misshapen file."""
+    matrices = []
+    for v in range(1, m + 1):
+        file = path / f"{name}_{v}.csv"
         if not file.is_file():
-            raise FormatError(f"{path}: centered model has no {file.name}")
-        mu = read_matrix_csv(file)
-        if mu.shape != (len(U), 1):
-            raise FormatError(f"{file}: {mu.shape} values, expected {len(U)} rows of one")
-        means.append(mu[:, 0])
-    return tuple(means)
+            raise FormatError(f"{path}: model has no {file.name}")
+        A = read_matrix_csv(file)
+        rows = len(A) if rows is None else rows
+        if A.shape != (rows, cols):
+            raise FormatError(f"{file}: {A.shape} values, expected {(rows, cols)}")
+        matrices.append(A)
+    return tuple(matrices)
 
 
 def load_training_data(model_path) -> MultiviewDataset:

@@ -126,9 +126,11 @@ def cross_kernel(
 
     Given means, the training kernel's row means k(X_train, X_train).mean(axis=1),
     the columns are centered as kernel PCA centers a test point:
-    H (k_new - means). No training x training entry is evaluated.
+    H (k_new - means). No training x training entry is evaluated. X_new is
+    copied: numpy's X^T X of one buffer can round apart from X^T X.copy(), and
+    training and new points must take one route.
     """
-    K = _raw_kernel(X_train, X_new, spec)
+    K = _raw_kernel(X_train, np.array(X_new, dtype=float), spec)
     if means is not None:
         _center(K, means)
     return K

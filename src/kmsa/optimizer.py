@@ -277,13 +277,13 @@ def fit(
         if abs(value - prev) <= cfg.tol * (1.0 + abs(prev)):
             break
 
-    # the eigenbases go before the kernels come back, one view at a time;
-    # _raw_kernel is deterministic, so each mean is the one the pencil's
-    # build_kernel centered with
+    # the eigenbases go before the kernels come back, one view at a time; the
+    # uncentered build_kernel is the raw kernel, exactly symmetric, so each
+    # mean is the one the pencil's build_kernel centered with
     del views
     means = None
     if cfg.center_kernel:
-        means = tuple(cross_kernel(X, X, spec).mean(axis=1) for X, spec in zip(data.views, specs))
+        means = tuple(build_kernel(X, spec).mean(axis=1) for X, spec in zip(data.views, specs))
     return KmsaModel(
         coefficients=tuple(Us),
         alpha=alpha,

@@ -263,12 +263,11 @@ def dense_objective_terms(Ks, Ps, Us, alpha, r, kappa, eta):
     return terms, scale
 
 
-def matrix_csv_reference(A, header=None) -> str:
-    """The text of a matrix CSV, one 17-digit cell at a time: an optional
-    header line, then one line per row of A, each line ending in a newline."""
+def matrix_csv_reference(A) -> str:
+    """The text of a matrix CSV, one 17-digit cell at a time: one line per row
+    of A, each line ending in a newline."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    lines = [] if header is None else [",".join(header)]
-    lines += [",".join(f"{x:.17g}" for x in row) for row in A]
+    lines = [",".join(f"{x:.17g}" for x in row) for row in A]
     return "\n".join(lines) + "\n"
 
 

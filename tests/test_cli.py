@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -11,7 +12,14 @@ import pytest
 import kmsa
 from kmsa import ConfigError, KmsaConfig, generate_synthetic
 from kmsa.cli import build_parser, cmd_eval, evaluate_repeat, main
-from kmsa.data_io import load_dataset, read_json_object, read_matrix_csv
+from kmsa.data_io import (
+    load_dataset,
+    load_model,
+    load_training_data,
+    read_json_object,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 
 
 def run(capsys, *argv):
@@ -91,18 +99,16 @@ class TestFit:
         )
         assert code == 0
         assert "status=ok" in stdout
-        trace = read_matrix_csv(out / "trace.csv")
-        assert trace.shape[1] == 2
-        diffs = np.diff(trace[:, 1])
-        slack = 1e-8 * (1.0 + np.abs(trace[:-1, 1]))
+        # kmsa fit writes its model, which holds every output, and nothing else
+        assert [p.name for p in out.iterdir()] == ["model"]
+        model = load_model(out / "model")
+        trace = np.array(model.objective_trace)
+        diffs = np.diff(trace)
+        slack = 1e-8 * (1.0 + np.abs(trace[:-1]))
         assert (diffs <= slack).all()
-        weights = read_matrix_csv(out / "weights.csv")
-        assert weights[:, 1].sum() == pytest.approx(1.0)
-        emb = read_matrix_csv(out / "embeddings_1.csv")
+        assert model.alpha.sum() == pytest.approx(1.0)
+        emb = read_matrix_csv(out / "model" / "embeddings_1.csv")
         assert emb.shape == (24, 2)
-        plot = read_matrix_csv(out / "plot2d_1.csv")
-        assert plot.shape == (24, 2)
-        assert (out / "model" / "manifest.json").exists()
 
     def test_missing_data_flag_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "fit", "--out", str(tmp_path / "x"),
@@ -262,19 +268,25 @@ class TestFit:
 
 
 class TestTransform:
-    def test_training_data_reproduces_fit_embeddings(self, synth_dir, tmp_path, capsys):
-        for center in (False, True):
+    def test_training_data_reproduces_fit_embeddings(self, tmp_path, capsys):
+        # at N=12 numpy's product of a view with itself rounds apart from its
+        # product with a copy; at N=24 the two agree
+        for per_class, center in itertools.product((4, 8), (False, True)):
+            data = tmp_path / f"data-{per_class}"
+            assert run(capsys, "synth", "--out", str(data), "--per-class", str(per_class),
+                       "--informative-views", "2", "--noise-views", "1")[0] == 0
             cfg = write_config(tmp_path, center_kernel=center)
-            out, tr_out = tmp_path / f"run-{center}", tmp_path / f"tr-{center}"
-            assert run(capsys, "fit", "--data", str(synth_dir), "--out", str(out),
+            out = tmp_path / f"run-{per_class}-{center}"
+            tr_out = tmp_path / f"tr-{per_class}-{center}"
+            assert run(capsys, "fit", "--data", str(data), "--out", str(out),
                        "--config", str(cfg))[0] == 0
             code, _, _ = run(
                 capsys, "transform", "--model", str(out / "model"),
-                "--data", str(synth_dir), "--out", str(tr_out),
+                "--data", str(data), "--out", str(tr_out),
             )
             assert code == 0
             for v in (1, 2, 3):
-                a = (out / f"embeddings_{v}.csv").read_bytes()
+                a = (out / "model" / f"embeddings_{v}.csv").read_bytes()
                 b = (tr_out / f"embeddings_{v}.csv").read_bytes()
                 assert a == b
                 read_matrix_csv(tr_out / f"embeddings_{v}.csv")  # loader round-trip
@@ -300,8 +312,9 @@ class TestTransform:
                    "--config", str(cfg))[0] == 0
         manifest_path = out / "model" / "manifest.json"
         doc = json.loads(manifest_path.read_text())
-        # format 2 stored no kernel means and is no longer read
-        for version in (2, 42):
+        # format 2 stored no kernel means, and format 3 a d x N embedding
+        # file and n_views; neither is read any more
+        for version in (2, 3, 42):
             doc["format_version"] = version
             manifest_path.write_text(json.dumps(doc))
             code, _, err = run(
@@ -315,7 +328,6 @@ class TestTransform:
         pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "kernels"},
                      id="no-kernels"),
         pytest.param(lambda doc: [doc], id="top-level-list"),
-        pytest.param(lambda doc: {**doc, "n_views": "two"}, id="n-views-string"),
         pytest.param(lambda doc: {**doc, "alpha": ["x"] + doc["alpha"][1:]}, id="alpha-entry"),
         pytest.param(lambda doc: {**doc, "alpha": "1234"}, id="alpha-string"),
         pytest.param(lambda doc: {**doc, "alpha": [True] + doc["alpha"][1:]}, id="alpha-bool"),
@@ -325,9 +337,8 @@ class TestTransform:
         ),
         pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kapa": 0.5}},
                      id="unknown-config-key"),
-        pytest.param(lambda doc: {**doc, "n_views": 2}, id="n-views-mismatch"),
-        pytest.param(lambda doc: {**doc, "n_views": float(doc["n_views"])}, id="n-views-float"),
         pytest.param(lambda doc: {**doc, "kernels": doc["kernels"][1:]}, id="kernels-short"),
+        pytest.param(lambda doc: {**doc, "alpha": doc["alpha"][1:]}, id="alpha-short"),
     ])
     def test_malformed_manifest_exits_two(self, fitted_model, tmp_path, capsys, edit):
         model = tmp_path / "model"
@@ -342,6 +353,36 @@ class TestTransform:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "manifest.json" in lines[0]
+
+    @pytest.mark.parametrize("file, edit, named", [
+        pytest.param("coefficients_2.csv", lambda U: U[:-1], "coefficients_2.csv",
+                     id="coefficients-row-missing"),
+        pytest.param("coefficients_2.csv", lambda U: np.hstack([U, U[:, :1]]),
+                     "coefficients_2.csv", id="coefficients-extra-column"),
+        pytest.param("embeddings_2.csv", lambda Y: np.eye(2), "embeddings_2.csv",
+                     id="embeddings-2x2"),
+        pytest.param("manifest.json", lambda doc: {**doc, "config": {**doc["config"], "d": 5}},
+                     "coefficients_1.csv", id="manifest-d"),
+    ])
+    def test_misshapen_model_matrix_exits_two(
+        self, fitted_model, tmp_path, capsys, file, edit, named
+    ):
+        # every per-view matrix holds the same N rows, and d columns of the
+        # manifest's config
+        model = tmp_path / "model"
+        shutil.copytree(fitted_model / "run" / "model", model)
+        path = model / file
+        if file == "manifest.json":
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            write_matrix_csv(path, edit(read_matrix_csv(path)))
+        code, _, err = run(
+            capsys, "transform", "--model", str(model),
+            "--data", str(fitted_model / "data"), "--out", str(tmp_path / "t"),
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
 
 
 class TestEval:
@@ -499,9 +540,8 @@ def test_fit_outputs_parse_back_through_loaders(synth_dir, tmp_path, capsys):
     out = tmp_path / "roundtrip"
     assert run(capsys, "fit", "--data", str(synth_dir), "--out", str(out),
                "--config", str(cfg))[0] == 0
-    for name in ("trace.csv", "weights.csv", "embeddings_1.csv", "plot2d_1.csv"):
-        read_matrix_csv(out / name)  # must not raise
-    from kmsa.data_io import load_model, load_training_data
+    for path in (out / "model").glob("*.csv"):
+        read_matrix_csv(path)  # must not raise
     model = load_model(out / "model")
     train = load_training_data(out / "model")
     assert train.n_samples == model.embeddings[0].shape[1]

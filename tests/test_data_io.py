@@ -36,8 +36,6 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-308, -1e-
 # every double, non-finite ones included, with the edge values drawn often
 ANY_FLOAT = st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
 FINITE_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
-HEADER = st.none() | st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True),
-                              min_size=1, max_size=4)
 CSV_SETTINGS = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -102,17 +100,16 @@ class TestMatrixCsv:
     @given(
         A=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
                      elements=ANY_FLOAT),
-        header=HEADER,
     )
-    @example(A=np.array([EDGE_FLOATS]), header=None)
-    @example(A=np.array([EDGE_FLOATS]).T, header=["x"])
-    @example(A=np.zeros((0, 3)), header=None)
-    @example(A=np.zeros((0, 0)), header=["a", "b"])
-    @example(A=np.zeros((3, 0)), header=None)
-    def test_written_bytes_match_per_cell_writer(self, tmp_path, A, header):
+    @example(A=np.array([EDGE_FLOATS]))
+    @example(A=np.array([EDGE_FLOATS]).T)
+    @example(A=np.zeros((0, 3)))
+    @example(A=np.zeros((0, 0)))
+    @example(A=np.zeros((3, 0)))
+    def test_written_bytes_match_per_cell_writer(self, tmp_path, A):
         path = tmp_path / "w.csv"
-        write_matrix_csv(path, A, header)
-        assert path.read_bytes() == matrix_csv_reference(A, header).encode("utf-8")
+        write_matrix_csv(path, A)
+        assert path.read_bytes() == matrix_csv_reference(A).encode("utf-8")
 
     @pytest.mark.parametrize("A", [np.array(-0.0), np.array([1.5, -0.0, 5e-324])])
     def test_fewer_than_two_dimensions_write_one_row(self, tmp_path, A):
@@ -125,11 +122,14 @@ class TestMatrixCsv:
     @given(
         A=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                      elements=FINITE_FLOAT),
-        header=HEADER,
+        header=st.booleans(),
     )
     def test_round_trip_keeps_every_bit(self, tmp_path, A, header):
+        # a header line is what files from outside the program may carry
         path = tmp_path / "r.csv"
-        write_matrix_csv(path, A, header)
+        write_matrix_csv(path, A)
+        if header:
+            path.write_text("a,b\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
         assert np.array_equal(bits(read_matrix_csv(path)), bits(A))
 
     @CSV_SETTINGS
@@ -326,8 +326,8 @@ class TestModelPersistence:
             assert sorted(p.name for p in path.iterdir()) == [
                 "coefficients_1.csv",
                 "coefficients_2.csv",
-                "embedding_1.csv",
-                "embedding_2.csv",
+                "embeddings_1.csv",
+                "embeddings_2.csv",
                 *means,
                 "manifest.json",
                 "train",
@@ -337,10 +337,11 @@ class TestModelPersistence:
         _, model = self.fitted()
         save_model(model, tmp_path / "m")
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
-        # version 1 directories stored K/P/M, and version 2 ones no kernel
-        # means and a seed; neither is read any more
-        for version in (1, 2, 99):
+        assert manifest["format_version"] == 4 and "n_views" not in manifest
+        # version 1 directories stored K/P/M, version 2 ones no kernel means
+        # and a seed, and version 3 ones n_views and d x N embedding files;
+        # none is read any more
+        for version in (1, 2, 3, 99):
             manifest["format_version"] = version
             (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
             with pytest.raises(VersionError):

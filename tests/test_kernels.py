@@ -111,13 +111,18 @@ def test_resolve_median_spec(rng):
     KernelSpec(kind="polynomial", degree=3, offset=0.5),
 ], ids=["gaussian", "linear", "polynomial"])
 def test_cross_kernel_reproduces_training_columns(rng, spec):
-    # the raw training kernel is exactly symmetric, so the fit's symmetrized
-    # kernel is its training columns to the bit: an uncentered model's
-    # embeddings are the transform of its training set
-    X = rng.standard_normal((4, 10))
+    # the raw training kernel is exactly symmetric, so the uncentered
+    # build_kernel is it to the bit and has the row means a centered pencil
+    # is centered with; cross_kernel takes training columns by the route of
+    # new points, whether or not they share X's buffer (at N=12 the routes
+    # round apart)
+    X = rng.standard_normal((4, 12))
+    raw = kernels._raw_kernel(X, X, spec)
+    assert np.array_equal(raw, raw.T)
+    assert np.array_equal(build_kernel(X, spec), raw)
     cols = cross_kernel(X, X, spec)
-    assert np.array_equal(cols, cols.T)
-    assert np.array_equal(cols, build_kernel(X, spec))
+    assert np.array_equal(cols, cross_kernel(X, X.copy(), spec))
+    assert np.allclose(cols, raw, atol=1e-12)
 
 
 def test_cross_kernel_centered_matches_centered_gram(rng):
@@ -149,7 +154,8 @@ def test_centered_cross_kernel_of_new_points_builds_no_training_kernel(rng, monk
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * 8.0 * 400 * 400
-    assert len(seen) == 1 and seen[0] is Y
+    # the new points themselves, by value: cross_kernel hands on a copy
+    assert len(seen) == 1 and np.array_equal(seen[0], Y)
     want = real_raw(X, Y, spec) - means[:, None]
     want -= want.mean(axis=0, keepdims=True)
     assert np.array_equal(cols, want)

@@ -796,13 +796,17 @@ class TestTransform:
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
     def test_model_roundtrip(self, rng, kind, center):
         # fit embeds its training set by transform's rule, so the two agree
-        # to the bit, centered or not
-        data = random_dataset(rng, m=2, n=12)
+        # to the bit, centered or not, for the training views or copies of
+        # them: at these N numpy's X^T X of one buffer rounds apart from
+        # X^T X.copy(), so both must take one route
         cfg = KmsaConfig(d=2, max_iters=2, kernel=KernelSpec(kind=kind), center_kernel=center)
-        model = fit(data, cfg)
-        out = transform(model, data.views, data)
-        for Y, Z in zip(model.embeddings, out):
-            assert np.array_equal(Y, Z)
+        for n in (12, 60):
+            data = random_dataset(rng, m=2, n=n)
+            model = fit(data, cfg)
+            for views in (data.views, [X.copy() for X in data.views]):
+                out = transform(model, views, data)
+                for Y, Z in zip(model.embeddings, out):
+                    assert np.array_equal(Y, Z)
 
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
     def test_centered_transform_of_new_points_reads_stored_means(self, rng, monkeypatch, kind):
@@ -821,7 +825,8 @@ class TestTransform:
 
         monkeypatch.setattr(kernels, "_raw_kernel", recording_raw)
         out = transform(model, new, data)
-        assert len(seen) == 2 and all(B is Y for B, Y in zip(seen, new))
+        # the new points themselves, by value: cross_kernel hands on a copy
+        assert len(seen) == 2 and all(np.array_equal(B, Y) for B, Y in zip(seen, new))
         for X, Y, spec, U, mu, Z in zip(
             data.views, new, model.kernels, model.coefficients, model.kernel_means, out
         ):
@@ -884,9 +889,9 @@ class TestWorkingSet:
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("recipe", ["pca", "lpp", "lda", "spp"])
     def test_embeddings_are_the_rebuilt_kernels_projections(self, recipe, center):
-        # uncentered, the raw kernel columns are the pencil's symmetrized
-        # kernel to the bit; centered, they are centered with the stored row
-        # means, as transform centers new points
+        # centered, the stored row means are those the pencil's kernel was
+        # centered with, and the kernel columns are centered with them, as
+        # transform centers new points
         data = generate_synthetic(per_class=5, seed=2)
         cfg = KmsaConfig(
             d=2, graph=GraphRecipe(kind=recipe), max_iters=3, center_kernel=center
@@ -901,9 +906,7 @@ class TestWorkingSet:
             data.views, model.kernels, model.coefficients, means, model.embeddings, out
         ):
             if center:
-                assert np.array_equal(mu, cross_kernel(X, X, spec).mean(axis=1))
-            else:
-                assert np.array_equal(Y, U.T @ build_kernel(X, spec))
+                assert np.array_equal(mu, build_kernel(X, spec).mean(axis=1))
             assert np.array_equal(Y, U.T @ cross_kernel(X, X, spec, mu))
             assert np.array_equal(Y, Z)
 

@@ -1,5 +1,6 @@
 """README examples stay true to the library: the config file example parses,
-and the library snippet runs and does what its comments say."""
+the library snippet runs and does what its comments say, and the model
+directory listing names the files save_model writes."""
 
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kmsa import KmsaConfig, NonMonotoneWarning
+from kmsa import KmsaConfig, NonMonotoneWarning, fit, generate_synthetic, save_model
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -37,3 +38,14 @@ def test_library_snippet_runs_and_transform_reproduces_embeddings(capsys):
         assert np.array_equal(Y, Z)
     assert int(np.argmin(model.alpha)) == 3  # the noise view, as the comment says
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_model_directory_bullets_name_every_file_save_model_writes(tmp_path):
+    section = README.split("### Model directory\n", 1)[1].split("\n### ", 1)[0]
+    names = re.findall(r"^- `([^`]+)`", section, re.M)
+    data = generate_synthetic(classes=2, per_class=4, informative_views=2, noise_views=0)
+    model = fit(data, KmsaConfig(d=2, max_iters=1, ridge=1e-2, center_kernel=True),
+                learn_weights=False)
+    save_model(model, tmp_path / "m", train_data=data)
+    listed = {name.replace("<v>", str(v)).rstrip("/") for name in names for v in (1, 2)}
+    assert listed == {p.name for p in (tmp_path / "m").iterdir()}
