@@ -11,7 +11,9 @@ FormatError. A model is a directory holding manifest.json (sorted keys, with a
 format-version field) and per view v, each file N rows of one sample: the
 coefficients coefficients_<v>.csv, the embedding embeddings_<v>.csv (as kmsa
 transform writes it) and, for a centered model, the training kernel's row
-means kernel_means_<v>.csv, plus an optional train/ dataset.
+means kernel_means_<v>.csv, plus an optional train/ dataset. A writer
+replaces: it removes the files of its name patterns that it did not write
+(views beyond its own, an unlabeled set's labels.csv, format 3's embeddings).
 """
 
 from __future__ import annotations
@@ -108,16 +110,9 @@ def load_dataset(dir_path) -> MultiviewDataset:
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
         raise IoError(f"dataset directory not found: {dir_path}")
-    found = []
-    for p in dir_path.glob("view_*.csv"):
-        stem = p.stem[len("view_"):]
-        try:
-            found.append((int(stem), p))
-        except ValueError:
-            continue
+    found = sorted(_indexed_files(dir_path, "view"))
     if not found:
         raise IoError(f"no view_<k>.csv files in {dir_path}")
-    found.sort()
     views = [read_matrix_csv(p).T for _, p in found]
     labels_path = dir_path / "labels.csv"
     labels = read_matrix_csv(labels_path) if labels_path.exists() else None
@@ -130,15 +125,38 @@ def load_dataset(dir_path) -> MultiviewDataset:
         raise FormatError(f"{dir_path}: {exc} (from {', '.join(p.name for p in named)})") from exc
 
 
+def _indexed_files(dir_path: Path, name: str) -> list:
+    """(k, path) of each dir_path/<name>_<k>.csv whose k int() parses."""
+    found = []
+    for path in dir_path.glob(f"{name}_*.csv"):
+        try:
+            found.append((int(path.stem[len(name) + 1:]), path))
+        except ValueError:
+            continue
+    return found
+
+
+def _write_view_matrices(dir_path: Path, name: str, matrices) -> None:
+    """Write matrix v as dir_path/<name>_<v>.csv, v from 1, and delete every
+    other <name>_<k>.csv whose k int() parses: an earlier write's."""
+    for v, A in enumerate(matrices, start=1):
+        write_matrix_csv(dir_path / f"{name}_{v}.csv", A)
+    keep = {f"{name}_{v}.csv" for v in range(1, len(matrices) + 1)}
+    for _, path in _indexed_files(dir_path, name):
+        if path.name not in keep:
+            path.unlink()
+
+
 def save_dataset(data: MultiviewDataset, dir_path) -> None:
     """Write a dataset directory loadable by load_dataset."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    for v, X in enumerate(data.views, start=1):
-        write_matrix_csv(dir_path / f"view_{v}.csv", X.T)
+    _write_view_matrices(dir_path, "view", [X.T for X in data.views])
+    labels_path = dir_path / "labels.csv"
+    labels_path.unlink(missing_ok=True)
     if data.labels is not None:
         lines = "\n".join(str(int(y)) for y in data.labels) + "\n"
-        (dir_path / "labels.csv").write_text(lines, encoding="utf-8")
+        labels_path.write_text(lines, encoding="utf-8")
 
 
 def generate_synthetic(
@@ -181,8 +199,7 @@ def generate_synthetic(
 def save_embeddings(embeddings, dir_path: Path) -> None:
     """Write each view's d x N embedding as dir_path/embeddings_<v>.csv, one
     sample per row: a model's training embeddings and kmsa transform's output."""
-    for v, Y in enumerate(embeddings, start=1):
-        write_matrix_csv(dir_path / f"embeddings_{v}.csv", Y.T)
+    _write_view_matrices(dir_path, "embeddings", [Y.T for Y in embeddings])
 
 
 def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = None) -> None:
@@ -203,11 +220,10 @@ def save_model(model: KmsaModel, path, train_data: MultiviewDataset | None = Non
         "log": list(model.log),
     }
     save_report(manifest, path / "manifest.json")
-    for v, U in enumerate(model.coefficients, start=1):
-        write_matrix_csv(path / f"coefficients_{v}.csv", U)
+    _write_view_matrices(path, "coefficients", model.coefficients)
     save_embeddings(model.embeddings, path)
-    for v, mu in enumerate(model.kernel_means or (), start=1):
-        write_matrix_csv(path / f"kernel_means_{v}.csv", mu[:, None])
+    _write_view_matrices(path, "kernel_means", [mu[:, None] for mu in model.kernel_means or ()])
+    _write_view_matrices(path, "embedding", [])  # format 3's embeddings
     if train_data is not None:
         save_dataset(train_data, path / "train")
 

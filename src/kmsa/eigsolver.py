@@ -3,12 +3,12 @@
 A pencil (H, M) is solved by one LAPACK call (pencil_eigh): ?sygv* factors
 M = L L^T, reduces H to L^{-1} H L^{-T}, solves that and back-substitutes, so
 the vectors come out M-orthonormal. A fit diagonalizes each view's pencil
-(K P K, M) in full that way (?sygvd, divide and conquer). Each update lowers
-the pencil by a rank-k coupling, so in the resulting M-orthonormal eigenbasis
-it is diag(lam) - Z Z^T, whose d smallest pairs secular_smallest finds from a
-k x k secular equation or, below NEWTON_MIN_N rows, by a dense subset solve
-whose vectors are checked for orthonormality.
-Every pair is checked against the pencil itself (check_pairs).
+(K P K, M) in full that way, in place (?sygvd, divide and conquer), and
+checks the basis once against the pencil. Each update lowers the pencil by a
+rank-k coupling, so in the resulting eigenbasis it is diag(lam) - Z Z^T,
+whose d smallest pairs secular_smallest finds from a k x k secular equation
+or, below NEWTON_MIN_N rows, by a dense subset solve whose vectors are
+checked for orthonormality. Those pairs are checked there (check_pairs).
 generalized_eigh solves one pencil directly, with a subset solve (?sygvx).
 scipy.linalg, which costs a process more start-up time and memory than numpy,
 is imported by the two functions that call LAPACK, at a fit's first pencil, so

@@ -1,10 +1,10 @@
 """Alternating minimization: per-view coefficient updates by generalized
 eigendecomposition, closed-form view weights, objective tracing.
 
-Each view's pencil (K P K_v, M_v) is diagonalized once per fit. An update
-lowers it by a rank-(m-1)d coupling and is solved in that eigenbasis by
-eigsolver.secular_smallest; the first, uncoupled updates read their pairs
-off the spectrum.
+Each view's pencil (K P K_v, M_v) is diagonalized once per fit, in place,
+and checked against the pencil then (view_state). An update lowers it by a
+rank-(m-1)d coupling, solved in that eigenbasis by secular_smallest and
+checked there; the first, uncoupled updates read their pairs off the spectrum.
 
 Objective convention. With g_v = tr(U_v^T K_v P_v K_v U_v) and the pair sums
 p_v = sum_{w != v} ||U_w^T U_v||_F^2, the recorded objective and the weight
@@ -43,33 +43,39 @@ TRACE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ViewState:
-    """Per-view constants of a fit, from one LAPACK call (view_state): the
-    eigenvalues lam of the pencil (K P K, M) with M the ridged constraint, its
-    M-orthonormal eigenvectors B (B^T M B = I, B^T K P K B = diag(lam)),
-    E = M B, so that K P K = E diag(lam) E^T and M = E E^T, and
-    kpk_sq = ||K P K||_F^2. Neither K, K P K nor M is kept: a view holds two
-    N x N matrices."""
+    """Per-view constants of a fit (view_state): the eigenvalues lam of the
+    pencil (K P K, M), M the ridged constraint, and its eigenvectors B
+    (B^T M B = I, B^T K P K B = diag(lam)), the one N x N matrix a view keeps."""
 
     lam: np.ndarray
     B: np.ndarray
-    E: np.ndarray
-    kpk_sq: float
-
-    def kpk_forms(self, Y: np.ndarray) -> np.ndarray:
-        """Per-column y^T K P K y, as lam . (E^T y)^2."""
-        F = self.E.T @ Y
-        return self.lam @ (F * F)
 
 
 def view_state(KPK, M) -> ViewState:
     """A view's constants from its pencil, the symmetric graph quadratic KPK
-    and the ridged constraint M: one full ?sygvd gives lam and B, then
-    E = M B. The solve overwrites KPK, so pass a copy you no longer need."""
-    kpk_sq = float(np.sum(KPK * KPK))
-    # LAPACK works in place on a Fortran-ordered matrix; KPK.T is one, and
-    # the same matrix since KPK is symmetric
-    lam, B = pencil_eigh(KPK.T, M, driver="gvd", overwrite_a=True)
-    return ViewState(lam=lam, B=B, E=M @ B, kpk_sq=kpk_sq)
+    and the ridged constraint M, by one ?sygvd that overwrites both: pass
+    copies of any you still need. The basis is checked against products with
+    a fixed probe p, p_k = sin(k^2), taken before the solve (not the ones
+    vector, which a centered kernel maps to zero). Each column b must meet
+    |p^T KPK b - lam p^T M b| <= 1e-14 (||KPK||_F + |lam| ||M||_F) ||b|| ||p||,
+    which permuted columns miss, and the basis ||B B^T M p - p|| <= 1e-15
+    max ||b||^2 ||M||_F ||p||, which scaled ones miss; that scale grows with
+    M's conditioning. NumericError otherwise."""
+    p = np.sin(np.arange(1.0, KPK.shape[0] + 1) ** 2)
+    Kp, Mp = KPK @ p, M @ p
+    k_norm, m_norm, p_norm = np.linalg.norm(KPK), np.linalg.norm(M), np.linalg.norm(p)
+    # LAPACK works in place on Fortran-ordered matrices; the transposes are
+    # ones, and the same matrices since both are symmetric
+    lam, B = pencil_eigh(KPK.T, M.T, driver="gvd", overwrite_a=True, overwrite_b=True)
+    b_norms = np.linalg.norm(B, axis=0)
+    resid = np.abs(Kp @ B - lam * (Mp @ B))
+    bad = np.flatnonzero(~(resid <= 1e-14 * (k_norm + np.abs(lam) * m_norm) * b_norms * p_norm))
+    if bad.size:
+        raise NumericError(f"eigenpair {bad[0]} misses its pencil by {resid[bad[0]]:.3e}")
+    drift = np.linalg.norm(B @ (B.T @ Mp) - p)
+    if not drift <= 1e-15 * b_norms.max() ** 2 * m_norm * p_norm:
+        raise NumericError(f"eigenbasis misses its normalization by {drift:.3e}")
+    return ViewState(lam, B)
 
 
 def pair_sums(Us) -> np.ndarray:
@@ -126,23 +132,21 @@ def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> tuple:
     """New coefficient matrix V for view v and its graph term
     g_v = tr(V^T K P K_v V), as (V, g_v). V holds the d smallest generalized
     eigenvectors of (H_v, M_v). In the view's eigenbasis the pencil is
-    diag(lam) - Z Z^T with Z = B^T W |C|^{1/2}, W the other views'
+    T = diag(lam) - Z Z^T with Z = B^T W |C|^{1/2}, W the other views'
     coefficients and C < 0 their coupling weights; secular_smallest solves it
-    and V = B X. Each pair is checked with H_v V = E (lam E^T V) + W C W^T V
-    and M_v V = E E^T V, and ||H_v||_F^2 expanded from kpk_sq and d x d
-    cross-Grams. g_v is lam . (E^T V)^2, from the check's E^T V."""
+    for (w, X), and V = B X. Each pair is checked there, on T X = X diag(w),
+    with ||T||_F^2 = lam.lam - 2 lam.rowsq(Z) + ||Z^T Z||_F^2, so the check
+    takes no N x N product. g_v is lam . X^2, since B^T K P K B = diag(lam)."""
     vs = views[v]
     c = np.repeat(_coupling(alpha, v, cfg), cfg.d)
     coupled = c < 0  # every view but v, since eta < 0
     W, c = np.hstack(Us)[:, coupled], c[coupled]
-    G = W.T @ W
-    h_sq = vs.kpk_sq + 2.0 * c @ vs.kpk_forms(W) + c @ (G * G) @ c
-    w, X = secular_smallest(vs.lam, vs.B.T @ (W * np.sqrt(-c)), cfg.d)
-    V = fix_signs(vs.B @ X)
-    F = vs.E.T @ V
-    HV = vs.E @ (vs.lam[:, None] * F) + W @ (c[:, None] * (W.T @ V))
-    check_pairs(w, HV, vs.E @ F, np.sqrt(max(h_sq, 0.0)))
-    return V, float(np.sum(vs.lam @ (F * F)))
+    Z = vs.B.T @ (W * np.sqrt(-c))
+    w, X = secular_smallest(vs.lam, Z, cfg.d)
+    G = Z.T @ Z
+    t_sq = vs.lam @ vs.lam - 2.0 * vs.lam @ np.sum(Z * Z, axis=1) + np.sum(G * G)
+    check_pairs(w, vs.lam[:, None] * X - Z @ (Z.T @ X), X, np.sqrt(max(t_sq, 0.0)))
+    return fix_signs(vs.B @ X), float(np.sum(vs.lam @ (X * X)))
 
 
 def view_trace_terms(g, p, Us, cfg: KmsaConfig) -> np.ndarray:

@@ -547,6 +547,59 @@ def test_fit_outputs_parse_back_through_loaders(synth_dir, tmp_path, capsys):
     assert train.n_samples == model.embeddings[0].shape[1]
 
 
+def files(root: Path) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestRewrite:
+    """A command writing into a directory that an earlier, larger write used
+    leaves what it would leave in a fresh one, plus files it does not name."""
+
+    def synth(self, capsys, out, views):
+        assert run(capsys, "synth", "--out", str(out), "--per-class", "6",
+                   "--informative-views", str(views), "--noise-views", "0")[0] == 0
+
+    def test_refit_replaces_a_larger_centered_fit(self, tmp_path, capsys):
+        self.synth(capsys, tmp_path / "four", 4)
+        self.synth(capsys, tmp_path / "two", 2)
+        centered = write_config(tmp_path, "centered.json", center_kernel=True)
+        plain = write_config(tmp_path)
+        run_dir, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run(capsys, "fit", "--data", str(tmp_path / "four"), "--out", str(run_dir),
+                   "--config", str(centered))[0] == 0
+        # a format-3 model's embeddings and files no writer names
+        write_matrix_csv(run_dir / "model" / "embedding_1.csv", np.ones((2, 12)))
+        kept = {"model/notes.txt": b"kept", "model/coefficients_old.csv": b"1\n",
+                "model/train/view_notes.csv": b"1\n"}
+        for name, data in kept.items():
+            (run_dir / name).write_bytes(data)
+        for out in (run_dir, fresh):
+            assert run(capsys, "fit", "--data", str(tmp_path / "two"), "--out", str(out),
+                       "--config", str(plain))[0] == 0
+        assert files(run_dir) == {**files(fresh), **kept}
+        code, _, err = run(capsys, "transform", "--model", str(run_dir / "model"),
+                           "--data", str(tmp_path / "two"), "--out", str(tmp_path / "tr"))
+        assert code == 0, err
+
+    def test_synth_and_transform_replace_more_views(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        self.synth(capsys, data, 4)
+        self.synth(capsys, data, 2)
+        self.synth(capsys, tmp_path / "fresh", 2)
+        assert files(data) == files(tmp_path / "fresh")
+        cfg = write_config(tmp_path)
+        for views in (4, 2):
+            source, fitted = tmp_path / f"data-{views}", tmp_path / f"run-{views}"
+            self.synth(capsys, source, views)
+            assert run(capsys, "fit", "--data", str(source), "--out", str(fitted),
+                       "--config", str(cfg))[0] == 0
+            code, _, err = run(capsys, "transform", "--model", str(fitted / "model"),
+                               "--data", str(source), "--out", str(tmp_path / "tr"))
+            assert code == 0, err
+        assert sorted(files(tmp_path / "tr")) == ["embeddings_1.csv", "embeddings_2.csv"]
+
+
 def test_evaluate_repeat_picks_best_view(monkeypatch):
     data = generate_synthetic(classes=2, per_class=4, informative_views=2, noise_views=1, seed=0)
     cfg = KmsaConfig(d=1, max_iters=1, ridge=1e-2)

@@ -12,6 +12,7 @@ from kmsa import (
     FormatError,
     IoError,
     KmsaConfig,
+    MultiviewDataset,
     VersionError,
     fit,
     generate_synthetic,
@@ -254,6 +255,20 @@ class TestLoadDataset:
         for a, b in zip(data.views, again.views):
             assert np.array_equal(a, b)
         assert np.array_equal(data.labels, again.labels)
+
+    def test_unlabeled_rewrite_removes_labels_and_extra_views(self, tmp_path):
+        # a dataset written over a larger, labeled one loads as written; files
+        # that load_dataset does not read stay
+        data = generate_synthetic(classes=2, per_class=4, informative_views=3, seed=3)
+        save_dataset(data, tmp_path)
+        (tmp_path / "view_notes.csv").write_text("1\n")
+        (tmp_path / "view_04.csv").write_text("1\n")  # read as a view: int("04") is 4
+        unlabeled = MultiviewDataset(data.views[:2])
+        save_dataset(unlabeled, tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["view_1.csv", "view_2.csv", "view_notes.csv"]
+        again = load_dataset(tmp_path)
+        assert again.labels is None and again.n_views == 2
 
 
 class TestSynthetic:

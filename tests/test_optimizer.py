@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kmsa import (
@@ -69,9 +69,13 @@ def pca_p(n):
     return laplacian(pca_graph(n).S)
 
 
+def pca_kpk(K):
+    return sym(K @ pca_p(K.shape[0]) @ K)
+
+
 def hand_state(K, P, M):
     """A view's optimizer constants from a kernel, graph quadratic and
-    constraint, diagonalized as fit does."""
+    constraint, diagonalized as fit does; the solve consumes M."""
     return view_state(sym(K @ P @ K), M)
 
 
@@ -85,15 +89,15 @@ def make_state(rng, m=2, n=6, d=2):
         K = build_kernel(X, KernelSpec())
         M = constraint_matrix(K, pca_graph(n).B, ridge=1e-6)
         Us.append(rng.standard_normal((n, d)))
-        views.append(view_state(sym(K @ pca_p(n) @ K), M))
+        views.append(view_state(pca_kpk(K), M))
         Ks.append(K)
     return views, Us, np.full(m, 1.0 / m), Ks
 
 
-def parts(views, Us):
+def parts(kpks, Us):
     """(g, p) for any coefficients: each view's tr(U_v^T K P K U_v) from its
-    eigenbasis, and the pair sums."""
-    g = np.array([float(np.sum(vs.kpk_forms(U))) for vs, U in zip(views, Us)])
+    dense K P K, and the pair sums."""
+    g = np.array([float(np.sum(U * (kpk @ U))) for kpk, U in zip(kpks, Us)])
     return g, pair_sums(Us)
 
 
@@ -109,21 +113,22 @@ def fitted_constraint(data, model, v):
 
 class TestObjective:
     def test_single_view_reduces_to_trace_plus_kappa(self, rng):
-        views, Us, _, Ks = make_state(rng, m=1)
+        _, Us, _, Ks = make_state(rng, m=1)
         alpha = np.array([1.0])
         cfg = KmsaConfig(d=2)
         K, U = Ks[0], Us[0]
         expected = np.trace(U.T @ K @ pca_p(6) @ K @ U) + cfg.kappa
-        assert objective(*parts(views, Us), alpha, cfg) == pytest.approx(
+        assert objective(*parts([pca_kpk(K)], Us), alpha, cfg) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_zero_coefficients_leave_only_regularizer(self, rng):
         m = 3
-        views, Us, alpha, _ = make_state(rng, m=m)
+        _, Us, alpha, Ks = make_state(rng, m=m)
         Us = [np.zeros_like(U) for U in Us]
         cfg = KmsaConfig(d=2)
-        assert objective(*parts(views, Us), alpha, cfg) == pytest.approx(
+        kpks = [pca_kpk(K) for K in Ks]
+        assert objective(*parts(kpks, Us), alpha, cfg) == pytest.approx(
             cfg.kappa * m * (1.0 / m) ** cfg.r, rel=1e-12
         )
 
@@ -137,7 +142,7 @@ class TestObjective:
         u2 = np.array([[0.5], [-1.0], [1.5]])
         alpha = np.array([0.6, 0.4])
         r, kappa, eta = 3.0, 0.1, -1.0
-        views = [hand_state(K1, P1, np.eye(3)), hand_state(K2, P2, np.eye(3))]
+        kpks = [sym(K1 @ P1 @ K1), sym(K2 @ P2 @ K2)]
         embed = (
             alpha[0] ** r * (u1.T @ K1 @ P1 @ K1 @ u1).item()
             + alpha[1] ** r * (u2.T @ K2 @ P2 @ K2 @ u2).item()
@@ -146,15 +151,15 @@ class TestObjective:
         # one unordered pair; d=1 makes the alignment trace a squared dot
         align = (alpha[0] ** r + alpha[1] ** r) / (2 * eta) * (u2.T @ u1).item() ** 2
         cfg = KmsaConfig(d=1, r=r, kappa=kappa, eta=eta)
-        assert objective(*parts(views, [u1, u2]), alpha, cfg) == pytest.approx(
+        assert objective(*parts(kpks, [u1, u2]), alpha, cfg) == pytest.approx(
             embed + reg + align, rel=1e-12
         )
 
     def test_decomposes_into_three_terms(self, rng):
-        views, Us, _, _ = make_state(rng, m=3, d=2)
+        _, Us, _, Ks = make_state(rng, m=3, d=2)
         alpha = np.array([0.5, 0.3, 0.2])
         cfg = KmsaConfig(d=2)
-        gp = parts(views, Us)
+        gp = parts([pca_kpk(K) for K in Ks], Us)
         terms = objective_terms(*gp, alpha, cfg)
         total = terms["embedding"] + terms["weight_regularizer"] + terms["alignment"]
         assert objective(*gp, alpha, cfg) == pytest.approx(total, abs=1e-10)
@@ -162,8 +167,9 @@ class TestObjective:
 
 @st.composite
 def trace_problems(draw):
-    """A random m-view state (m in 1..4) with signed graph quadratics, plus a
-    config and simplex weights; returns (views, Us, alpha, cfg, Ks, Ps)."""
+    """Random m-view coefficients (m in 1..4) with signed graph quadratics,
+    plus a config and simplex weights; returns (kpks, Us, alpha, cfg, Ks, Ps)
+    with each view's symmetrized K P K."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, n))
@@ -179,9 +185,9 @@ def trace_problems(draw):
         Ks.append(build_kernel(rng.standard_normal((3, n)), KernelSpec()))
         Ps.append(laplacian(sym(rng.standard_normal((n, n)))))
         Us.append(rng.standard_normal((n, d)))
-    views = [hand_state(K, P, np.eye(n)) for K, P in zip(Ks, Ps)]
+    kpks = [sym(K @ P @ K) for K, P in zip(Ks, Ps)]
     alpha = rng.dirichlet(np.ones(m))
-    return views, Us, alpha, cfg, Ks, Ps
+    return kpks, Us, alpha, cfg, Ks, Ps
 
 
 class TestDenseReferences:
@@ -192,20 +198,20 @@ class TestDenseReferences:
     @settings(max_examples=60, deadline=None)
     @given(trace_problems())
     def test_view_trace_terms_match_dense_j(self, problem):
-        views, Us, alpha, cfg, Ks, Ps = problem
+        kpks, Us, alpha, cfg, Ks, Ps = problem
         want, scale = dense_trace_terms(Ks, Ps, Us, cfg.r, cfg.kappa, cfg.eta)
-        got = view_trace_terms(*parts(views, Us), Us, cfg)
+        got = view_trace_terms(*parts(kpks, Us), Us, cfg)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
 
     @settings(max_examples=60, deadline=None)
     @given(trace_problems())
     def test_objective_terms_match_explicit_kpk(self, problem):
-        views, Us, alpha, cfg, Ks, Ps = problem
+        kpks, Us, alpha, cfg, Ks, Ps = problem
         want, scale = dense_objective_terms(
             Ks, Ps, Us, alpha, cfg.r, cfg.kappa, cfg.eta
         )
-        got = objective_terms(*parts(views, Us), alpha, cfg)
+        got = objective_terms(*parts(kpks, Us), alpha, cfg)
         assert abs(got["embedding"] - want["embedding"]) <= 1e-12 * max(
             abs(want["embedding"]), scale
         )
@@ -220,8 +226,8 @@ class TestSharedTerms:
     @settings(max_examples=60, deadline=None)
     @given(trace_problems())
     def test_objective_and_traces_read_the_same_terms(self, problem):
-        views, Us, alpha, cfg, _, _ = problem
-        g, p = parts(views, Us)
+        kpks, Us, alpha, cfg, _, _ = problem
+        g, p = parts(kpks, Us)
         a_r = alpha ** cfg.r
         per_view = g + cfg.kappa + p / (2.0 * cfg.eta)
         scale = np.abs(g) + cfg.kappa + np.abs(p / (2.0 * cfg.eta))
@@ -311,7 +317,7 @@ def update_problems(draw):
         B = np.eye(n) if draw(st.booleans()) else None
         kpk = sym(K @ laplacian(S) @ K)
         M = constraint_matrix(K, B, cfg.ridge)
-        views.append(view_state(kpk.copy(), M))  # the solve overwrites it
+        views.append(view_state(kpk.copy(), M.copy()))  # the solve consumes both
         Us.append(rng.standard_normal((n, cfg.d)))
         kpks.append(kpk)
         Ms.append(M)
@@ -330,6 +336,18 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     return calls
+
+
+def corrupting(fault):
+    """The pencil_eigh that view_state calls, with fault applied to the basis
+    it returns."""
+    real = optimizer.pencil_eigh
+
+    def solve(*args, **kwargs):
+        lam, B = real(*args, **kwargs)
+        return lam, fault(B)
+
+    return solve
 
 
 def fit_both_routes(data, cfg, monkeypatch):
@@ -371,7 +389,10 @@ class TestCachedUpdate:
         n = M.shape[0]
         H = build_h(kpks[v], Us, alpha, v, cfg.r, cfg.eta)
         U, g = update_view(views, Us, alpha, v, cfg)
-        assert g == float(np.sum(views[v].kpk_forms(U)))
+        # g is lam . X^2 in the eigenbasis: the dense trace to within its
+        # rounding scale (see oracles.dense_trace_terms)
+        dense = np.sum(U * (kpks[v] @ U))
+        assert abs(g - dense) <= 1e-12 * np.sum(np.abs(U) * (np.abs(kpks[v]) @ np.abs(U)))
         lam, V = generalized_eigh(H, M, n)
         # Backward-stable solves move eigenvalues by O(eps) times the largest
         # one, and the Cholesky factor represents M to O(n eps cond(M)); both
@@ -414,19 +435,25 @@ class TestCachedUpdate:
             update_view(views, Us, alpha, 0, cfg)
 
     @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda vs: replace(vs, B=(1.0 + 1e-3) * vs.B), id="B-scaled"),
-        pytest.param(lambda vs: replace(vs, E=(1.0 + 1e-3) * vs.E), id="E-scaled"),
-        pytest.param(lambda vs: replace(vs, B=vs.B[:, ::-1]), id="B-reversed"),
+        pytest.param(lambda B: (1.0 + 1e-3) * B, id="B-scaled"),
+        pytest.param(lambda B: B[:, ::-1], id="B-reversed"),
     ])
-    def test_residual_check_rejects_a_corrupt_eigenbasis(self, rng, secular_choice, corrupt):
-        # the check reads the pencil from E and lam and the vectors from B, so
-        # a cached basis that no longer matches them fails a coupled update
-        views, Us, alpha, _ = make_state(rng, m=2, n=8, d=2)
-        cfg = KmsaConfig(d=2)
-        update_view(views, Us, alpha, 0, cfg)
-        views[0] = corrupt(views[0])
-        with pytest.raises(NumericError, match="backward-error bound"):
-            update_view(views, Us, alpha, 0, cfg)
+    def test_residual_check_rejects_a_corrupt_eigenbasis(
+        self, rng, monkeypatch, secular_choice, corrupt
+    ):
+        # the set-up check reads the pencil through probe products taken
+        # before the solve, so a basis altered after LAPACK returns it fails
+        # the fit before any update, centered or not
+        data = random_dataset(rng, m=2, n=8)
+        for center in (False, True):
+            cfg = KmsaConfig(d=2, center_kernel=center, max_iters=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeightDomainWarning)
+                fit(data, cfg)  # LAPACK's own basis passes
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "pencil_eigh", corrupting(corrupt))
+                with pytest.raises(NumericError, match="misses its"):
+                    fit(data, cfg)
 
     def test_degenerate_kernel_at_zero_ridge_asks_for_a_ridge(self, rng):
         # a linear kernel over identical samples is the all-ones matrix
@@ -485,6 +512,50 @@ class TestCachedUpdate:
         assert calls.count("full") == 3
         assert calls.count("subset") > 0
         assert_routes_agree(newton, dense)
+
+
+@st.composite
+def pencils(draw):
+    """A random view pencil as fit builds it: a Gaussian kernel over N in
+    4..40 points, centered or not, a signed graph quadratic and the
+    constraint K or K K plus a log-uniform ridge in [1e-8, 1e-1]; returns
+    (kpk, M)."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = build_kernel(rng.standard_normal((3, n)), KernelSpec(), center=draw(st.booleans()))
+    kpk = sym(K @ laplacian(sym(rng.standard_normal((n, n)))) @ K)
+    B = np.eye(n) if draw(st.booleans()) else None
+    return kpk, constraint_matrix(K, B, 10.0 ** draw(st.floats(-8.0, -1.0)))
+
+
+class TestSetupCheck:
+    """view_state checks its one diagonalization against the real pencil, by
+    probe products taken before the solve: LAPACK's basis passes, and one
+    scaled column, two swapped columns or the reversed order fail."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pencils(), st.data())
+    def test_accepts_lapack_and_rejects_a_corrupted_basis(self, pencil, data):
+        kpk, M = pencil
+        n = kpk.shape[0]
+        lam, B = scipy.linalg.eigh(kpk, M, driver="gvd")
+        vs = view_state(kpk.copy(), M.copy())
+        assert np.array_equal(vs.lam, lam) and np.array_equal(vs.B, B)
+        j = data.draw(st.integers(0, n - 1))
+        i, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        # swapping the columns of one eigenvalue leaves an eigenbasis
+        assume(abs(lam[k] - lam[i]) > 1e-6 * np.abs(lam).max())
+        swap = np.arange(n)
+        swap[[i, k]] = k, i
+        for fault in (
+            lambda B: B * np.where(np.arange(n) == j, 1.0 + 1e-3, 1.0),
+            lambda B: B[:, swap],
+            lambda B: B[:, ::-1],
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(optimizer, "pencil_eigh", corrupting(fault))
+                with pytest.raises(NumericError, match="misses its"):
+                    view_state(kpk.copy(), M.copy())
 
 
 class TestWeights:
@@ -692,15 +763,18 @@ class TestFit:
         assert calls == [4]
 
     def test_objective_reads_no_eigenbasis(self, rng, monkeypatch):
-        # each update returns its g_v from the E^T V of its pair check, so
-        # kpk_forms runs once per update, for the coupling's norm, and the
-        # objective and the weight step read no view's eigenbasis
-        depth, calls, updates = [], [], []
-        real_forms, real_update = optimizer.ViewState.kpk_forms, optimizer.update_view
+        # every read of a view's eigenbasis happens inside an update, which
+        # returns its g_v: the objective and the weight step read none
+        depth, reads, updates = [], [], []
+        real_state, real_update = optimizer.view_state, optimizer.update_view
 
-        def forms(vs, Y):
-            calls.append(len(depth))
-            return real_forms(vs, Y)
+        class Watched:
+            def __init__(self, vs):
+                self.vs = vs
+
+            def __getattr__(self, name):
+                reads.append(len(depth))
+                return getattr(self.vs, name)
 
         def update(*args):
             updates.append(args[3])
@@ -710,13 +784,13 @@ class TestFit:
             finally:
                 depth.pop()
 
-        monkeypatch.setattr(optimizer.ViewState, "kpk_forms", forms)
+        monkeypatch.setattr(optimizer, "view_state", lambda *a: Watched(real_state(*a)))
         monkeypatch.setattr(optimizer, "update_view", update)
         data = random_dataset(rng, m=3, n=15)
         cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp", k=4), max_iters=4, tol=1e-300)
         model = fit(data, cfg)
         assert len(updates) == 3 * len(model.objective_trace) == 15
-        assert calls == [1] * len(updates)
+        assert reads and set(reads) == {1}
 
     def test_determinism(self, rng):
         data = random_dataset(rng, m=2, n=10)
@@ -836,16 +910,21 @@ class TestTransform:
 
 
 class TestWorkingSet:
-    """A fit holds each view's eigenbasis (B and E, two N x N matrices) and
-    builds one view's pencil at a time; the kernels come back one at a time
-    for the embeddings, once the eigenbases are gone."""
+    """A fit holds each view's eigenbasis (B, one N x N matrix) and builds
+    one view's pencil at a time; the kernels come back one at a time for the
+    embeddings, once the eigenbases are gone."""
 
-    @pytest.mark.parametrize("recipe", ["lpp", "lda", "spp"])
+    # peaks measured at 7.12 N^2 (lpp, pca), 8.11 (lda) and 10.64 (spp)
+    PEAK = {"lpp": 7.5, "pca": 7.5, "lda": 8.5, "spp": 11.5}
+
+    @pytest.mark.parametrize("recipe", ["lpp", "pca", "lda", "spp"])
     def test_peak_of_one_fit_in_n_squared_doubles(self, recipe):
-        # four views keep 8 N^2; the last view's pencil, its constraint's
-        # copy and the ?sygvd workspace bring the peak near 11 N^2. spp codes
-        # every view before any eigenbasis exists, and each view's codes go
-        # once its graph is built
+        # three earlier views keep 3 N^2; the last view's pencil, solved in
+        # place, and the ?sygvd workspace (2 N^2) bring the peak near 7 N^2.
+        # lda's constraint K H K is formed from its graph's dense N x N H, one
+        # N^2 more. spp codes every view before any eigenbasis exists, in one
+        # lasso queue that sets its peak, and each view's codes go once its
+        # graph is built
         data = generate_synthetic(per_class=100, seed=3)
         n = data.n_samples
         cfg = KmsaConfig(d=4, graph=GraphRecipe(kind=recipe), max_iters=2)
@@ -857,7 +936,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (8.0 * n * n) <= 11.5
+        assert peak / (8.0 * n * n) <= self.PEAK[recipe]
 
     def test_each_view_computes_its_distances_and_median_once(self, monkeypatch):
         # the median bandwidth, the kernel, lpp's median heat and its
