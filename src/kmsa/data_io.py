@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, IoError, VersionError
-from .types import KERNEL_KINDS, KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
+from .types import MEDIAN, KernelSpec, KmsaConfig, KmsaModel, MultiviewDataset
 
 FORMAT_VERSION = 4
 
@@ -239,8 +239,8 @@ def _json_array(doc: dict, key: str, item=object) -> list:
 
 def load_model(path) -> KmsaModel:
     """Reload a model directory written by save_model. A manifest with a
-    missing, mistyped or invalid entry, or a per-view file that is missing or
-    misshapen, raises FormatError."""
+    missing, mistyped or invalid entry (a Gaussian median bandwidth, which fit
+    resolves), or a missing or misshapen per-view file, raises FormatError."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
@@ -254,9 +254,8 @@ def load_model(path) -> KmsaModel:
     try:
         alpha = np.array([float(a) for a in _json_array(manifest, "alpha", str)])
         kernels = tuple(KernelSpec.from_dict(k) for k in _json_array(manifest, "kernels"))
-        for spec in kernels:
-            if spec.kind not in KERNEL_KINDS:
-                raise FormatError(f"{manifest_path}: unknown kernel kind {spec.kind!r}")
+        if any(k.kind == "gaussian" and k.bandwidth == MEDIAN for k in kernels):
+            raise FormatError(f"{manifest_path}: a gaussian kernel keeps a {MEDIAN!r} bandwidth")
         if len(kernels) != len(alpha):
             raise FormatError(f"{manifest_path}: {len(alpha)} weights but {len(kernels)} kernels")
         config = KmsaConfig.from_dict(manifest["config"])

@@ -8,8 +8,7 @@ follow one homotopy path per column; the paths of every spp view of a fit
 share one queue, and a block of them runs in lockstep, one event per path per
 pass, each ended path's slot refilled from the queue.
 
-The builders trust types.validate_config, which fit runs before any graph is
-built, and do not check its rules again.
+The builders check no rule that GraphRecipe or types.validate_config judges.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> Gr
     marked while the neighbors are picked and then restored."""
     dists = Distances(X) if dists is None else dists
     t = float(dists.median ** 2 if heat == MEDIAN else heat)
-    if t <= 0:  # validate_config judges a configured heat, not the median's square
+    if t <= 0:  # GraphRecipe judges a configured heat, not the median's square
         raise GraphError(f"lpp median heat {dists.median!r}**2 underflows to 0")
     sq = dists.sq
     own = sq.diagonal().copy()
@@ -63,7 +62,8 @@ def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> Gr
     np.fill_diagonal(sq, own)
     adj |= adj.T  # the OR rule keeps the graph symmetric
     S = np.zeros_like(sq)
-    S[adj] = np.exp(-sq[adj] / t)
+    with np.errstate(over="ignore"):  # a subnormal t: the weights underflow to 0
+        S[adj] = np.exp(-sq[adj] / t)
     return GraphPair(S=S, B=S.sum(axis=1))
 
 
@@ -327,6 +327,4 @@ def build_graph(
         return lpp_graph(X, recipe.k, recipe.heat, dists)
     if recipe.kind == "lda":
         return lda_graph(labels)
-    if recipe.kind == "spp":
-        return spp_graph(X, recipe.lasso_lambda, recipe.lasso_max_iters, codes)
-    raise GraphError(f"unknown graph recipe {recipe.kind!r}")
+    return spp_graph(X, recipe.lasso_lambda, recipe.lasso_max_iters, codes)

@@ -87,18 +87,16 @@ def _raw_kernel(
     NumericError if any entry is non-finite (overflow, bad input)."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     spec = resolve_kernel_spec(X, spec, dists)
-    # overflow surfaces as non-finite entries, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and a 2 sigma^2 that underflows to 0 surface as non-finite entries
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if spec.kind == "gaussian":
             K = -(pairwise_sq_dists(X, Y) if dists is None else dists.sq)
             K /= 2.0 * float(spec.bandwidth) ** 2
             np.exp(K, out=K)
         elif spec.kind == "linear":
             K = X.T @ Y
-        elif spec.kind == "polynomial":
+        else:  # polynomial
             K = (X.T @ Y + spec.offset) ** spec.degree
-        else:
-            raise NumericError(f"unknown kernel kind {spec.kind!r}")
     if not np.isfinite(K).all():
         raise NumericError(f"{spec.kind} kernel produced non-finite entries")
     return K

@@ -2,8 +2,8 @@
 
 Conventions: feature matrices are column-major in samples (a view is D_v x N,
 one column per sample); labels are non-negative integer class ids, names that
-need not be contiguous (the lda graph compacts them). MultiviewDataset judges a
-dataset when it is built, validate_config a config against a dataset.
+need not be contiguous (the lda graph compacts them). A config or a dataset is
+judged when it is built, and validate_config judges one against the other.
 All types are frozen dataclasses and safe to share read-only across threads.
 """
 
@@ -22,11 +22,16 @@ GRAPH_KINDS = ("pca", "lpp", "lda", "spp")
 MEDIAN = "median"  # sentinel: resolve the Gaussian bandwidth by the median heuristic
 
 
+def _check(cond: bool, code: str, message: str) -> None:
+    if not cond:
+        raise ConfigError(code, message)
+
+
 def _json_value(owner: str, name: str, annotation: str, value):
     """One JSON value converted to its field's annotated type.
 
     An int is accepted for a float and an integral float for an int; a
-    float-or-string field takes either, and validate_config judges the string.
+    float-or-string field takes either, and the spec judges the string.
     A bool is never a number here, although Python treats it as one.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -81,6 +86,27 @@ class KernelSpec:
     degree: int = 2
     offset: float = 1.0
 
+    def __post_init__(self):
+        _check(
+            self.kind in KERNEL_KINDS, "unknown_kernel", f"unknown kernel {self.kind!r}"
+        )
+        if self.kind == "gaussian":
+            if isinstance(self.bandwidth, str):
+                _check(
+                    self.bandwidth == MEDIAN,
+                    "bad_bandwidth",
+                    f"bandwidth must be positive or {MEDIAN!r}",
+                )
+            else:
+                _check(
+                    self.bandwidth > 0,
+                    "bandwidth_not_positive",
+                    "gaussian bandwidth must be > 0",
+                )
+        elif self.kind == "polynomial":
+            _check(self.degree >= 1, "degree_too_small", "polynomial degree must be >= 1")
+            _check(self.offset >= 0, "offset_negative", "polynomial offset must be >= 0")
+
     to_dict = asdict
     from_dict = classmethod(_from_dict)
 
@@ -104,13 +130,33 @@ class GraphRecipe:
     lasso_lambda: float = 0.1
     lasso_max_iters: int = 500
 
+    def __post_init__(self):
+        _check(
+            self.kind in GRAPH_KINDS, "unknown_graph", f"unknown graph {self.kind!r}"
+        )
+        if self.kind == "lpp":
+            if isinstance(self.heat, str):
+                _check(
+                    self.heat == MEDIAN,
+                    "bad_heat",
+                    f"heat must be positive or {MEDIAN!r}",
+                )
+            else:
+                _check(self.heat > 0, "heat_not_positive", "lpp heat must be > 0")
+        elif self.kind == "spp":
+            _check(
+                self.lasso_lambda > 0,
+                "lasso_lambda_not_positive",
+                "spp lasso weight must be > 0",
+            )
+            _check(
+                self.lasso_max_iters >= 1,
+                "lasso_iters_not_positive",
+                "spp lasso iteration cap must be >= 1",
+            )
+
     to_dict = asdict
     from_dict = classmethod(_from_dict)
-
-
-def _check(cond: bool, code: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(code, message)
 
 
 def _class_ids(labels) -> np.ndarray:
@@ -192,6 +238,15 @@ class KmsaConfig:
     ridge: float = 1e-8
     center_kernel: bool = False
 
+    def __post_init__(self):
+        _check(self.d >= 1, "d_not_positive", "d must be a positive integer")
+        _check(self.r > 1.0, "r_not_gt_1", "r must exceed 1")
+        _check(self.eta < 0.0, "eta_not_negative", "eta must be negative")
+        _check(self.kappa >= 0.0, "kappa_negative", "kappa must be >= 0")
+        _check(self.max_iters >= 0, "max_iters_negative", "max_iters must be >= 0")
+        _check(self.tol > 0.0, "tol_not_positive", "tol must be > 0")
+        _check(self.ridge >= 0.0, "ridge_negative", "ridge must be >= 0")
+
     def kernels_for(self, m: int) -> tuple:
         """Per-view kernel specs, broadcasting a single spec to all m views."""
         if isinstance(self.kernel, KernelSpec):
@@ -246,20 +301,13 @@ class KmsaModel:
 
 
 def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
-    """Raise ConfigError unless cfg is valid and data is what a fit of cfg
-    needs (two samples, d <= N, labels for lda); MultiviewDataset checks the
-    rest of a dataset. Pure function: same inputs, same outcome."""
+    """Raise ConfigError unless data is what a fit of cfg needs: two samples,
+    d <= N, a kernel and a graph per view, lpp's 1 <= k < N and lda's labels.
+    Pure function: same inputs, same outcome."""
     m = data.n_views
     n = data.n_samples
     _check(n >= 2, "too_few_samples", f"need at least 2 samples, got {n}")
-    _check(cfg.d >= 1, "d_not_positive", "d must be a positive integer")
     _check(cfg.d <= n, "d_exceeds_n", f"d={cfg.d} exceeds sample count {n}")
-    _check(cfg.r > 1.0, "r_not_gt_1", "r must exceed 1")
-    _check(cfg.eta < 0.0, "eta_not_negative", "eta must be negative")
-    _check(cfg.kappa >= 0.0, "kappa_negative", "kappa must be >= 0")
-    _check(cfg.max_iters >= 0, "max_iters_negative", "max_iters must be >= 0")
-    _check(cfg.tol > 0.0, "tol_not_positive", "tol must be > 0")
-    _check(cfg.ridge >= 0.0, "ridge_negative", "ridge must be >= 0")
 
     kernels = cfg.kernels_for(m)
     _check(
@@ -273,59 +321,16 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
         "graph_count_mismatch",
         f"{len(recipes)} graph recipes for {m} views",
     )
-    for spec in kernels:
-        _check(
-            spec.kind in KERNEL_KINDS, "unknown_kernel", f"unknown kernel {spec.kind!r}"
-        )
-        if spec.kind == "gaussian":
-            if isinstance(spec.bandwidth, str):
-                _check(
-                    spec.bandwidth == MEDIAN,
-                    "bad_bandwidth",
-                    f"bandwidth must be positive or {MEDIAN!r}",
-                )
-            else:
-                _check(
-                    spec.bandwidth > 0,
-                    "bandwidth_not_positive",
-                    "gaussian bandwidth must be > 0",
-                )
-        elif spec.kind == "polynomial":
-            _check(spec.degree >= 1, "degree_too_small", "polynomial degree must be >= 1")
-            _check(spec.offset >= 0, "offset_negative", "polynomial offset must be >= 0")
-
     for recipe in recipes:
-        _check(
-            recipe.kind in GRAPH_KINDS, "unknown_graph", f"unknown graph {recipe.kind!r}"
-        )
         if recipe.kind == "lpp":
             _check(
                 1 <= recipe.k < n,
                 "k_out_of_range",
                 f"lpp neighbor count must satisfy 1 <= k < N, got k={recipe.k}, N={n}",
             )
-            if isinstance(recipe.heat, str):
-                _check(
-                    recipe.heat == MEDIAN,
-                    "bad_heat",
-                    f"heat must be positive or {MEDIAN!r}",
-                )
-            else:
-                _check(recipe.heat > 0, "heat_not_positive", "lpp heat must be > 0")
         elif recipe.kind == "lda":
             _check(
                 data.labels is not None,
                 "lda_requires_labels",
                 "lda graph recipe requires labels (no labels.csv loaded with the dataset)",
-            )
-        elif recipe.kind == "spp":
-            _check(
-                recipe.lasso_lambda > 0,
-                "lasso_lambda_not_positive",
-                "spp lasso weight must be > 0",
-            )
-            _check(
-                recipe.lasso_max_iters >= 1,
-                "lasso_iters_not_positive",
-                "spp lasso iteration cap must be >= 1",
             )

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -34,6 +35,12 @@ def write_config(tmp_path, name="config.json", **kw):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def with_kernel(**fields):
+    """A manifest edit that sets fields of view 1's kernel, all other
+    kernels kept."""
+    return lambda doc: {**doc, "kernels": [{**doc["kernels"][0], **fields}, *doc["kernels"][1:]]}
 
 
 @pytest.fixture
@@ -335,6 +342,15 @@ class TestTransform:
             lambda doc: {**doc, "kernels": [{**doc["kernels"][0], "kind": "bogus"}]},
             id="kernel-kind",
         ),
+        # a manifest's kernels are read through KernelSpec, so each kernel rule
+        # holds for a model too; fit resolves every Gaussian median bandwidth
+        pytest.param(with_kernel(bandwidth=0.0), id="kernel-bandwidth-0"),
+        pytest.param(with_kernel(bandwidth=-2.0), id="kernel-bandwidth-negative"),
+        pytest.param(with_kernel(bandwidth="0"), id="kernel-bandwidth-string"),
+        pytest.param(with_kernel(kind="polynomial", degree=0), id="kernel-degree-0"),
+        pytest.param(with_kernel(kind="polynomial", offset=-5.0), id="kernel-offset-negative"),
+        pytest.param(with_kernel(kind="rbf"), id="kernel-unknown-kind"),
+        pytest.param(with_kernel(bandwidth="median"), id="kernel-gaussian-median"),
         pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kapa": 0.5}},
                      id="unknown-config-key"),
         pytest.param(lambda doc: {**doc, "kernels": doc["kernels"][1:]}, id="kernels-short"),
@@ -648,3 +664,24 @@ def test_scipy_loads_at_the_first_diagonalization(case, fitted_model, tmp_path):
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == f"{linalg} False"
+
+
+def test_installed_command_runs(tmp_path, capsys):
+    # the tests import kmsa from src/; the entry point pip installs as the
+    # kmsa command must name a function that runs the CLI
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["kmsa"]
+    module, _, name = target.partition(":")
+    command = getattr(importlib.import_module(module), name)
+    cfg = write_config(tmp_path)
+    for argv in (
+        ["synth", "--out", str(tmp_path / "data"), "--per-class", "4"],
+        ["fit", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+         "--config", str(cfg)],
+        ["transform", "--model", str(tmp_path / "run" / "model"),
+         "--data", str(tmp_path / "data"), "--out", str(tmp_path / "embedded")],
+    ):
+        assert command(argv) == 0
+        assert capsys.readouterr().out.startswith(f"status=ok command={argv[0]}")
+    assert (tmp_path / "embedded" / "embeddings_1.csv").is_file()

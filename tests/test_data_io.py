@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from kmsa import (
     FormatError,
     IoError,
+    KernelSpec,
     KmsaConfig,
     MultiviewDataset,
     VersionError,
@@ -29,6 +31,7 @@ from kmsa.data_io import (
     save_report,
     write_matrix_csv,
 )
+from kmsa.types import MEDIAN
 
 from oracles import csv_cells_reference, matrix_csv_reference
 
@@ -347,6 +350,21 @@ class TestModelPersistence:
                 "manifest.json",
                 "train",
             ]
+
+    def test_only_a_gaussian_bandwidth_must_be_concrete(self, tmp_path):
+        # fit resolves a Gaussian median bandwidth; linear and polynomial
+        # kernels keep the unused default, and load as written
+        data = generate_synthetic(classes=2, per_class=6, informative_views=2,
+                                  noise_views=0, seed=0)
+        kernel = (KernelSpec(kind="linear"), KernelSpec(kind="polynomial"))
+        model = fit(data, KmsaConfig(d=2, max_iters=3, ridge=1e-2, kernel=kernel))
+        assert [k.bandwidth for k in model.kernels] == [MEDIAN, MEDIAN]
+        save_model(model, tmp_path / "m")
+        assert load_model(tmp_path / "m").kernels == model.kernels
+        _, gaussian = self.fitted()
+        save_model(replace(gaussian, kernels=(KernelSpec(),) * 2), tmp_path / "g")
+        with pytest.raises(FormatError, match="manifest.json: a gaussian kernel keeps"):
+            load_model(tmp_path / "g")
 
     def test_version_bump_rejected(self, tmp_path):
         _, model = self.fitted()

@@ -161,6 +161,17 @@ class TestLppGraph:
         with pytest.raises(GraphError, match=r"1\.11\d*e-162\*\*2 underflows to 0"):
             fit(data, KmsaConfig(d=1, graph=GraphRecipe(kind="lpp", k=2)))
 
+    @pytest.mark.parametrize("heat", [1e-300, 1e-320])
+    def test_tiny_heat_zeroes_the_weights(self, rng, heat):
+        # distance / 1e-320 overflows: the weights are 0 as at 1e-300, with
+        # no overflow RuntimeWarning, and the fit's constraint K B K = 0 is
+        # definite only through the ridge
+        X = rng.standard_normal((2, 6))
+        assert not lpp_graph(X, k=2, heat=heat).S.any()
+        data = MultiviewDataset([X])
+        with pytest.raises(NumericError, match="raise the ridge"):
+            fit(data, KmsaConfig(d=1, graph=GraphRecipe(kind="lpp", k=2, heat=heat)))
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 120),  # past 16, where NumPy's unstable sorts change method

@@ -91,6 +91,14 @@ def test_polynomial_overflow_raises():
         build_kernel(X, KernelSpec(kind="polynomial", degree=3, offset=0.0))
 
 
+def test_underflowing_bandwidth_raises():
+    # 2 sigma^2 rounds to 0: the kernel's non-finite check reports it, and no
+    # divide-by-zero RuntimeWarning escapes first
+    X = np.array([[0.0, 1.0, 3.0]])
+    with pytest.raises(NumericError, match="non-finite"):
+        build_kernel(X, KernelSpec(bandwidth=1e-170))
+
+
 def test_non_finite_input_raises():
     X = np.array([[np.nan, 0.0]])
     with pytest.raises(NumericError):

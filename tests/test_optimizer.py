@@ -860,11 +860,13 @@ class TestTransform:
         assert exc.value.code == "mismatched_samples"
 
     def test_unknown_kernel_kind_raises(self, rng):
+        # a model's kernels are specs, and a spec of an unknown kind cannot be
+        # built, so transform never meets one
         data = random_dataset(rng, m=2, n=10)
         model = fit(data, KmsaConfig(d=2, max_iters=0))
-        rbf = replace(model, kernels=tuple(replace(k, kind="rbf") for k in model.kernels))
-        with pytest.raises(NumericError, match="unknown kernel kind 'rbf'"):
-            transform(rbf, data.views, data)
+        with pytest.raises(ConfigError, match="unknown kernel 'rbf'") as exc:
+            replace(model.kernels[0], kind="rbf")
+        assert exc.value.code == "unknown_kernel"
 
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,16 +34,15 @@ def test_valid_config_passes():
 
 
 def test_r_at_boundary_rejected():
-    cfg, data = valid_pair()
+    # a config is judged when it is built, not when it is fitted
     with pytest.raises(ConfigError, match="r must exceed 1") as exc:
-        validate_config(KmsaConfig(d=2, r=1.0), data)
+        KmsaConfig(d=2, r=1.0)
     assert exc.value.code == "r_not_gt_1"
 
 
 def test_positive_eta_rejected():
-    cfg, data = valid_pair()
     with pytest.raises(ConfigError, match="eta must be negative") as exc:
-        validate_config(KmsaConfig(d=2, eta=1.0), data)
+        replace(KmsaConfig(d=2), eta=1.0)
     assert exc.value.code == "eta_not_negative"
 
 
@@ -51,11 +51,17 @@ def test_validation_is_pure():
     first = validate_config(cfg, data)
     second = validate_config(cfg, data)
     assert first is None and second is None
-    bad = KmsaConfig(d=2, r=1.0)
+    bad = KmsaConfig(d=21)  # one more than the samples
     for _ in range(2):
         with pytest.raises(ConfigError):
             validate_config(bad, data)
 
+
+# config documents, as from_dict reads them, each breaking one rule. A rule of
+# the config alone is enforced when the config or its spec is built; a row
+# whose code is in DATASET_RULES builds, and validate_config judges it against
+# a dataset of 20 samples
+DATASET_RULES = {"d_exceeds_n", "k_out_of_range", "kernel_count_mismatch", "graph_count_mismatch"}
 
 CONFIG_VIOLATIONS = [
     (dict(d=0), "d_not_positive"),
@@ -66,47 +72,43 @@ CONFIG_VIOLATIONS = [
     (dict(d=2, max_iters=-1), "max_iters_negative"),
     (dict(d=2, tol=0.0), "tol_not_positive"),
     (dict(d=2, ridge=-1e-9), "ridge_negative"),
-    (dict(d=2, kernel=KernelSpec(kind="rbf")), "unknown_kernel"),
-    (
-        dict(d=2, kernel=KernelSpec(kind="gaussian", bandwidth=0.0)),
-        "bandwidth_not_positive",
-    ),
-    (
-        dict(d=2, kernel=KernelSpec(kind="gaussian", bandwidth="auto")),
-        "bad_bandwidth",
-    ),
-    (
-        dict(d=2, kernel=KernelSpec(kind="polynomial", degree=0)),
-        "degree_too_small",
-    ),
-    (
-        dict(d=2, kernel=KernelSpec(kind="polynomial", offset=-1.0)),
-        "offset_negative",
-    ),
-    (dict(d=2, graph=GraphRecipe(kind="isomap")), "unknown_graph"),
-    (dict(d=2, graph=GraphRecipe(kind="lpp", k=0)), "k_out_of_range"),
-    (dict(d=2, graph=GraphRecipe(kind="lpp", k=20)), "k_out_of_range"),
-    (dict(d=2, graph=GraphRecipe(kind="lpp", heat=0.0)), "heat_not_positive"),
-    (dict(d=2, graph=GraphRecipe(kind="lpp", heat="auto")), "bad_heat"),
-    (
-        dict(d=2, graph=GraphRecipe(kind="spp", lasso_lambda=0.0)),
-        "lasso_lambda_not_positive",
-    ),
-    (
-        dict(d=2, graph=GraphRecipe(kind="spp", lasso_max_iters=0)),
-        "lasso_iters_not_positive",
-    ),
-    (dict(d=2, kernel=(KernelSpec(), KernelSpec())), "kernel_count_mismatch"),
-    (dict(d=2, graph=(GraphRecipe(), GraphRecipe())), "graph_count_mismatch"),
+    (dict(d=2, kernel=dict(kind="rbf")), "unknown_kernel"),
+    (dict(d=2, kernel=dict(kind="gaussian", bandwidth=0.0)), "bandwidth_not_positive"),
+    (dict(d=2, kernel=dict(kind="gaussian", bandwidth="auto")), "bad_bandwidth"),
+    (dict(d=2, kernel=dict(kind="polynomial", degree=0)), "degree_too_small"),
+    (dict(d=2, kernel=dict(kind="polynomial", offset=-1.0)), "offset_negative"),
+    (dict(d=2, graph=dict(kind="isomap")), "unknown_graph"),
+    (dict(d=2, graph=dict(kind="lpp", k=0)), "k_out_of_range"),
+    (dict(d=2, graph=dict(kind="lpp", k=20)), "k_out_of_range"),
+    (dict(d=2, graph=dict(kind="lpp", heat=0.0)), "heat_not_positive"),
+    (dict(d=2, graph=dict(kind="lpp", heat="auto")), "bad_heat"),
+    (dict(d=2, graph=dict(kind="spp", lasso_lambda=0.0)), "lasso_lambda_not_positive"),
+    (dict(d=2, graph=dict(kind="spp", lasso_max_iters=0)), "lasso_iters_not_positive"),
+    (dict(d=2, kernel=[{}, {}]), "kernel_count_mismatch"),
+    (dict(d=2, graph=[{}, {}]), "graph_count_mismatch"),
 ]
+
+
+def _built(doc: dict) -> KmsaConfig:
+    """The config a one-spec-per-field document describes, built through the
+    constructors rather than from_dict."""
+    specs = {"kernel": KernelSpec, "graph": GraphRecipe}
+    return KmsaConfig(**{k: specs[k](**v) if k in specs else v for k, v in doc.items()})
 
 
 @pytest.mark.parametrize("cfg_kw, code", CONFIG_VIOLATIONS)
 def test_each_config_violation_has_a_code(cfg_kw, code):
-    _, data = valid_pair()
-    with pytest.raises(ConfigError) as exc:
-        validate_config(KmsaConfig(**cfg_kw), data)
-    assert exc.value.code == code
+    if code in DATASET_RULES:
+        _, data = valid_pair()
+        with pytest.raises(ConfigError) as exc:
+            validate_config(KmsaConfig.from_dict(cfg_kw), data)
+        assert exc.value.code == code
+        return
+    # from_dict is how a config file and a model manifest are read
+    for build in (_built, KmsaConfig.from_dict):
+        with pytest.raises(ConfigError) as exc:
+            build(cfg_kw)
+        assert exc.value.code == code
 
 
 def _views(*shapes):
@@ -171,16 +173,25 @@ def _codes(function) -> set:
 
 
 def test_every_rule_has_a_case():
-    # the two tables above are the only tests of the rules the graph builders
-    # trust; each code the dataset constructor or validate_config can raise
-    # must have a row, and a dataset rule's row builds nothing else
+    # each code has one judge: the class whose value it rules on, when that
+    # value is built, or validate_config for what a fit asks of a dataset.
+    # The two tables above are the only tests of the rules the graph builders
+    # trust, so each code has a row
+    config_rules = [
+        _codes(KmsaConfig.__post_init__),
+        _codes(KernelSpec.__post_init__),
+        _codes(GraphRecipe.__post_init__),
+    ]
     dataset_rules = _codes(MultiviewDataset.__init__)
     fit_rules = _codes(validate_config)
-    assert not dataset_rules & fit_rules
+    judges = [*config_rules, dataset_rules, fit_rules]
+    assert sum(map(len, judges)) == len(set().union(*judges))  # no code has two judges
+    built = {code for cfg_kw, code in CONFIG_VIOLATIONS if code not in DATASET_RULES}
+    assert built == set().union(*config_rules)
     assert {code for _, cfg_kw, code in DATASET_VIOLATIONS if cfg_kw is BUILD} == dataset_rules
-    assert {code for *_, code in CONFIG_VIOLATIONS + DATASET_VIOLATIONS} == (
-        dataset_rules | fit_rules
-    )
+    assert DATASET_RULES | {
+        code for _, cfg_kw, code in DATASET_VIOLATIONS if cfg_kw is not BUILD
+    } == fit_rules
 
 
 def test_config_dict_round_trip():
@@ -219,22 +230,24 @@ def test_dataset_subset_keeps_alignment(rng):
     assert np.array_equal(sub.labels, data.labels[[1, 3, 5]])
 
 
-finite = st.floats(-1e6, 1e6, allow_nan=False)
-float_or_median = st.one_of(finite, st.just(MEDIAN))
+# every value these draw can be built: each draws inside the rules of its field
+non_negative = st.floats(0.0, 1e6)
+positive = st.floats(0.0, 1e6, exclude_min=True)
+positive_or_median = st.one_of(positive, st.just(MEDIAN))
 kernel_specs = st.builds(
     KernelSpec,
     kind=st.sampled_from(KERNEL_KINDS),
-    bandwidth=float_or_median,
-    degree=st.integers(-3, 6),
-    offset=finite,
+    bandwidth=positive_or_median,
+    degree=st.integers(1, 6),
+    offset=non_negative,
 )
 graph_recipes = st.builds(
     GraphRecipe,
     kind=st.sampled_from(GRAPH_KINDS),
-    k=st.integers(-2, 50),
-    heat=float_or_median,
-    lasso_lambda=finite,
-    lasso_max_iters=st.integers(0, 1000),
+    k=st.integers(-2, 50),  # judged against a dataset's N, not when built
+    heat=positive_or_median,
+    lasso_lambda=positive,
+    lasso_max_iters=st.integers(1, 1000),
 )
 
 
@@ -244,15 +257,15 @@ def one_or_per_view(specs):
 
 configs = st.builds(
     KmsaConfig,
-    d=st.integers(-5, 500),
-    r=finite,
-    kappa=finite,
-    eta=finite,
+    d=st.integers(1, 500),
+    r=st.floats(1.0, 1e6, exclude_min=True),
+    kappa=non_negative,
+    eta=st.floats(-1e6, -5e-324),  # not -0.0, which is not < 0
     kernel=one_or_per_view(kernel_specs),
     graph=one_or_per_view(graph_recipes),
-    max_iters=st.integers(-1, 100),
-    tol=finite,
-    ridge=finite,
+    max_iters=st.integers(0, 100),
+    tol=positive,
+    ridge=non_negative,
     center_kernel=st.booleans(),
 )
 
@@ -311,12 +324,15 @@ def test_from_dict_rejects_bad_documents(doc, code):
 
 def test_from_dict_converts_numbers_to_field_types():
     cfg = KmsaConfig.from_dict(
-        {"d": 3.0, "r": 2, "kernel": {"bandwidth": 2}, "graph": {"kind": "lpp", "heat": "auto"}}
+        {"d": 3.0, "r": 2, "kernel": {"bandwidth": 2}, "graph": {"kind": "lpp", "heat": MEDIAN}}
     )
     assert cfg.d == 3 and isinstance(cfg.d, int)
     assert cfg.r == 2.0 and isinstance(cfg.r, float)
     assert cfg.kernel.bandwidth == 2.0 and isinstance(cfg.kernel.bandwidth, float)
-    assert cfg.graph.heat == "auto"  # a string is left for validate_config to judge
+    assert cfg.graph.heat == MEDIAN  # a string is left for GraphRecipe to judge
+    with pytest.raises(ConfigError) as exc:
+        KmsaConfig.from_dict({"d": 3, "graph": {"kind": "lpp", "heat": "auto"}})
+    assert exc.value.code == "bad_heat"
 
 
 def test_earlier_manifest_dicts_still_load():
