@@ -99,11 +99,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    model = data_io.load_model(Path(args.model))
-    train = data_io.load_training_data(Path(args.model))
+    model_dir, out_dir = Path(args.model), Path(args.out)
+    if out_dir.resolve() == model_dir.resolve():
+        raise ConfigError("out_is_model", "--out must not be the --model directory")
+    model = data_io.load_model(model_dir)
+    train = data_io.load_training_data(model_dir)
     new = data_io.load_dataset(args.data)
     embedded = optimizer.transform(model, new.views, train)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_io.save_embeddings(embedded, out_dir)
     print(

@@ -6,22 +6,19 @@ and checked against the pencil then (view_state). An update lowers it by a
 rank-(m-1)d coupling, solved in that eigenbasis by secular_smallest and
 checked there; the first, uncoupled updates read their pairs off the spectrum.
 
-Objective convention. With g_v = tr(U_v^T K_v P_v K_v U_v) and the pair sums
-p_v = sum_{w != v} ||U_w^T U_v||_F^2, the recorded objective and the weight
-step's per-view traces are
+Objective. With the graph terms g_v = tr(U_v^T K_v P_v K_v U_v) and the pair
+sums p_v = sum_{w != v} ||U_w^T U_v||_F^2, a fit records
 
-    G   = sum_v alpha_v^r (g_v + kappa + p_v / (2 eta))
-    t_v = g_v + (r kappa / N) ||U_v||_F^2 + p_v / (2 eta)
+    G = sum_v alpha_v^r (g_v + kappa + p_v / (2 eta)),
 
-and differ only in kappa against (r kappa / N) ||U_v||_F^2. Since eta < 0,
-lowering G aligns the coefficient subspaces of every pair. The per-view
-eigenproblem below is the exact minimizer of G restricted to one U_v, which
-is what makes the trace monotone under the sweep. An update returns its g_v;
-a sweep's p_v serve both steps.
-
-The weight update assumes positive per-view trace terms; non-positive ones
-are clamped to a tiny floor and the event is recorded in the model log
-(failing hard would make hyperparameter sweeps brittle).
+its per-view bracket stated by _view_terms. Since eta < 0, lowering G aligns
+the coefficient subspaces of every pair. An update is the exact minimizer of
+G over one U_v, so with fixed weights (or every view clamped, which keeps
+1/m) the trace is non-increasing. The weight step minimizes sum_v alpha_v^r t_v
+(view_trace_terms), not G, so with learned weights a sweep can raise G; it
+clamps non-positive t_v to a tiny floor and logs it (failing hard would make
+hyperparameter sweeps brittle). An update returns its g_v; a sweep's p_v
+serve both steps.
 """
 
 from __future__ import annotations
@@ -90,15 +87,15 @@ def pair_sums(Us) -> np.ndarray:
     return cross.sum(axis=1)
 
 
+def _view_terms(g, p, cfg: KmsaConfig) -> dict:
+    """G's per-view bracket by part: graph g, regularizer kappa, pair p / (2 eta)."""
+    return {"embedding": g, "weight_regularizer": cfg.kappa, "alignment": p / (2.0 * cfg.eta)}
+
+
 def objective_terms(g, p, alpha: np.ndarray, cfg: KmsaConfig) -> dict:
-    """The three objective components, from the per-view graph terms g, the
-    pair sums p and the weights."""
+    """G's three components, each the alpha^r-weighted sum of its part."""
     a_r = alpha ** cfg.r
-    return {
-        "embedding": float(sum(a_r * g)),
-        "weight_regularizer": cfg.kappa * float(np.sum(a_r)),
-        "alignment": float(a_r @ p) / (2.0 * cfg.eta),
-    }
+    return {name: float(np.sum(a_r * part)) for name, part in _view_terms(g, p, cfg).items()}
 
 
 def objective(g, p, alpha: np.ndarray, cfg: KmsaConfig) -> float:
@@ -119,8 +116,9 @@ def gram_divergence(U_i: np.ndarray, U_j: np.ndarray) -> float:
 
 
 def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
-    """Coefficients c_w = (1 + (alpha_w / alpha_v)^r) / (2 eta) of
-    H_v = K P K_v + sum_w c_w U_w U_w^T, with c_v = 0."""
+    """Coefficients c_w of H_v = K P K_v + sum_w c_w U_w U_w^T, c_v = 0: G's pair
+    weight (alpha_v^r + alpha_w^r) / (2 eta) over alpha_v^r, in the ratio form
+    (alpha_w / alpha_v)^r, which stays finite where alpha_v^r underflows."""
     if alpha[v] <= 0.0:
         raise NumericError(f"view weight alpha[{v}] underflowed to {alpha[v]}")
     c = (1.0 + (alpha / alpha[v]) ** cfg.r) / (2.0 * cfg.eta)
@@ -129,9 +127,9 @@ def _coupling(alpha: np.ndarray, v: int, cfg: KmsaConfig) -> np.ndarray:
 
 
 def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> tuple:
-    """New coefficient matrix V for view v and its graph term
-    g_v = tr(V^T K P K_v V), as (V, g_v). V holds the d smallest generalized
-    eigenvectors of (H_v, M_v). In the view's eigenbasis the pencil is
+    """New coefficient matrix V for view v and its graph term g_v, as (V, g_v):
+    the minimizer of G over U_v, the d smallest generalized eigenvectors of
+    (H_v, M_v) (_coupling). In the view's eigenbasis the pencil is
     T = diag(lam) - Z Z^T with Z = B^T W |C|^{1/2}, W the other views'
     coefficients and C < 0 their coupling weights; secular_smallest solves it
     for (w, X), and V = B X. Each pair is checked there, on T X = X diag(w),
@@ -150,11 +148,11 @@ def update_view(views, Us, alpha: np.ndarray, v: int, cfg: KmsaConfig) -> tuple:
 
 
 def view_trace_terms(g, p, Us, cfg: KmsaConfig) -> np.ndarray:
-    """Per-view weight-update traces t_v = g_v + (r kappa / N) ||U_v||_F^2
-    + p_v / (2 eta)."""
-    n = Us[0].shape[0]
+    """The weight step's per-view traces t_v, read off G's bracket."""
+    terms = _view_terms(g, p, cfg)
     norms = np.array([float(np.sum(U * U)) for U in Us])
-    return g + (cfg.r * cfg.kappa / n) * norms + p / (2.0 * cfg.eta)
+    # ROADMAP direction 1's defect: (r kappa / N) ||U_v||_F^2 where G has kappa
+    return terms["embedding"] + (cfg.r * cfg.kappa / Us[0].shape[0]) * norms + terms["alignment"]
 
 
 def closed_form_weights(traces: np.ndarray, r: float):

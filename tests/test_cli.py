@@ -298,6 +298,27 @@ class TestTransform:
                 assert a == b
                 read_matrix_csv(tr_out / f"embeddings_{v}.csv")  # loader round-trip
 
+    @pytest.mark.parametrize("per_class", [4, 8])
+    def test_out_at_its_own_model_exits_one(self, synth_dir, tmp_path, capsys, per_class):
+        # transform writes embeddings_<v>.csv, the name of the model's training
+        # embeddings: 12 new points against 24 training points would leave a
+        # model that no longer loads, and 24 one whose embeddings are wrong
+        cfg = write_config(tmp_path)
+        model = tmp_path / "run" / "model"
+        assert run(capsys, "fit", "--data", str(synth_dir), "--out", str(model.parent),
+                   "--config", str(cfg))[0] == 0
+        new = tmp_path / "new"
+        assert run(capsys, "synth", "--out", str(new), "--per-class", str(per_class),
+                   "--informative-views", "2", "--noise-views", "1", "--seed", "5")[0] == 0
+        before = {p: p.read_bytes() for p in model.rglob("*") if p.is_file()}
+        code, stdout, err = run(
+            capsys, "transform", "--model", str(model), "--data", str(new),
+            "--out", str(model / ".." / "model"),
+        )
+        assert code == 1 and stdout == ""
+        assert "--out must not be the --model directory" in err
+        assert {p: p.read_bytes() for p in model.rglob("*") if p.is_file()} == before
+
     def test_dimension_mismatch_exits_one(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"

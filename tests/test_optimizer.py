@@ -101,14 +101,35 @@ def parts(kpks, Us):
     return g, pair_sums(Us)
 
 
-def fitted_constraint(data, model, v):
-    """View v's ridged constraint M, recomputed from the data and the model's
-    resolved kernel spec exactly as fit builds it."""
+def objective_and_scale(kpks, Us, alpha, cfg):
+    """G through objective(), each g_v from its dense K P K, and the scale its
+    rounding is relative to, alpha^r . (sum |U_v| (|K P K_v| |U_v|) + kappa
+    + |p_v / (2 eta)|) (see oracles.dense_trace_terms)."""
+    g, p = parts(kpks, Us)
+    rough = np.array([np.sum(np.abs(U) * (np.abs(kpk) @ np.abs(U))) for kpk, U in zip(kpks, Us)])
+    scale = alpha ** cfg.r @ (rough + cfg.kappa + np.abs(p / (2.0 * cfg.eta)))
+    return objective(g, p, alpha, cfg), scale
+
+
+def fitted_view(data, model, v):
+    """View v's kernel and graph, recomputed from the data and the model's
+    resolved kernel spec exactly as fit builds them."""
     cfg = model.config
     X = data.views[v]
     K = build_kernel(X, model.kernels[v], center=cfg.center_kernel)
-    recipe = cfg.graphs_for(data.n_views)[v]
-    return constraint_matrix(K, build_graph(X, data.labels, recipe).B, cfg.ridge)
+    return K, build_graph(X, data.labels, cfg.graphs_for(data.n_views)[v])
+
+
+def fitted_constraint(data, model, v):
+    """View v's ridged constraint M, as fit builds it."""
+    K, graph = fitted_view(data, model, v)
+    return constraint_matrix(K, graph.B, model.config.ridge)
+
+
+def fitted_kpk(data, model, v):
+    """View v's symmetrized K P K, as fit builds it."""
+    K, graph = fitted_view(data, model, v)
+    return sym(K @ laplacian(graph.S) @ K)
 
 
 class TestObjective:
@@ -528,6 +549,39 @@ def pencils(draw):
     return kpk, constraint_matrix(K, B, 10.0 ** draw(st.floats(-8.0, -1.0)))
 
 
+class TestUpdateMinimizesG:
+    """update_view(v) minimizes G over U_v: every M_v-orthonormal alternative
+    U_v = B X' in the view's eigenbasis B (X'^T X' = I) scores a G no lower,
+    within G's rounding scale (objective_and_scale), for both of
+    secular_smallest's choices."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(update_problems(), st.integers(0, 2**32 - 1))
+    def test_no_sampled_alternative_scores_lower(self, secular_choice, problem, seed):
+        views, Us, alpha, cfg, v, kpks, Ms = problem
+        B = views[v].B
+        U, _ = update_view(views, Us, alpha, v, cfg)
+        # the returned coordinates (B^T M B = I), orthonormalized again: B^T M U
+        # rounds with M's conditioning, and an X' off orthonormal is no alternative
+        X = np.linalg.qr(B.T @ (Ms[v] @ U))[0]
+        n, d = X.shape
+        rng = np.random.default_rng(seed)
+        alternatives = [np.linalg.qr(rng.standard_normal((n, d)))[0] for _ in range(3)]
+        A = rng.standard_normal((n, n))
+        A -= A.T
+        A /= np.linalg.norm(A, 2)  # expm(theta A) turns by at most theta
+        alternatives += [scipy.linalg.expm(theta * A) @ X for theta in (1e-2, 1e-4, 1e-6)]
+        G_new, scale_new = objective_and_scale(kpks, Us[:v] + [U] + Us[v + 1 :], alpha, cfg)
+        for X_alt in alternatives:
+            alt = Us[:v] + [B @ X_alt] + Us[v + 1 :]
+            G_alt, scale_alt = objective_and_scale(kpks, alt, alpha, cfg)
+            assert G_new - G_alt <= 1e-12 * max(scale_new, scale_alt)
+
+
 class TestSetupCheck:
     """view_state checks its one diagonalization against the real pencil, by
     probe products taken before the solve: LAPACK's basis passes, and one
@@ -791,6 +845,26 @@ class TestFit:
         model = fit(data, cfg)
         assert len(updates) == 3 * len(model.objective_trace) == 15
         assert reads and set(reads) == {1}
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("learn", [True, False])
+    @pytest.mark.parametrize("recipe", ["pca", "lpp", "lda", "spp"])
+    def test_recorded_objective_is_g_of_the_returned_model(self, recipe, learn, center):
+        # the last trace value is G of the returned coefficients and weights,
+        # with each g_v from the dense K P K that fit built
+        data = generate_synthetic(
+            classes=3, per_class=7, informative_views=3, noise_views=1, seed=0
+        )
+        cfg = KmsaConfig(
+            d=4, graph=GraphRecipe(kind=recipe), max_iters=5, center_kernel=center,
+            ridge=1e-2 if center else 1e-8,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightDomainWarning)
+            model = fit(data, cfg, learn_weights=learn)
+        kpks = [fitted_kpk(data, model, v) for v in range(data.n_views)]
+        G, scale = objective_and_scale(kpks, list(model.coefficients), model.alpha, cfg)
+        assert abs(model.objective_trace[-1] - G) <= 1e-12 * scale
 
     def test_determinism(self, rng):
         data = random_dataset(rng, m=2, n=10)
