@@ -3,7 +3,8 @@
 Subcommands: fit, transform, eval, synth. Exit codes: 0 success, 1 bad
 flags/configuration, 2 I/O or file-format failure, 3 numeric failure. Every
 command prints one machine-parsable key=value summary line on stdout and is
-deterministic given --seed.
+deterministic given --seed. A command returns its summary's fields; main
+prints them after status=ok and command=<name>.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+# each task's headline metric: evaluate_repeat's best view and eval's summary
+HEADLINE = {"classification": "accuracy", "retrieval": "map"}
 
 
 class UsageError(Exception):
@@ -69,7 +73,16 @@ def write_fit_outputs(out_dir: Path, model, data) -> None:
     data_io.save_model(model, out_dir / "model", train_data=data)
 
 
-def cmd_fit(args) -> int:
+def out_path(out, is_file=False) -> Path:
+    """--out as a Path; ConfigError when it, or the directory of a file
+    --out, is part of a model (data_io.is_model_part)."""
+    path = Path(out)
+    if data_io.is_model_part(path.parent if is_file else path):
+        raise ConfigError("out_is_model", f"--out must not be part of a model directory: {path}")
+    return path
+
+
+def cmd_fit(args) -> dict:
     cfg = load_config_file(args.config, args.recipe)
     data = data_io.load_dataset(args.data)
     model = optimizer.fit(data, cfg)
@@ -81,44 +94,27 @@ def cmd_fit(args) -> int:
         for v in range(m)
         for w in range(v + 1, m)
     ]
-    print(
-        summary_line(
-            status="ok",
-            command="fit",
-            views=data.n_views,
-            samples=data.n_samples,
-            d=cfg.d,
-            sweeps=len(model.objective_trace) - 1,
-            objective=model.objective_trace[-1],
-            alpha=format_alpha(model.alpha),
-            mean_divergence=float(np.mean(divergences)) if divergences else 0.0,
-            out=out_dir,
-        )
+    return dict(
+        views=data.n_views,
+        samples=data.n_samples,
+        d=cfg.d,
+        sweeps=len(model.objective_trace) - 1,
+        objective=model.objective_trace[-1],
+        alpha=format_alpha(model.alpha),
+        mean_divergence=float(np.mean(divergences)) if divergences else 0.0,
+        out=out_dir,
     )
-    return EXIT_OK
 
 
-def cmd_transform(args) -> int:
-    model_dir, out_dir = Path(args.model), Path(args.out)
-    if out_dir.resolve() == model_dir.resolve():
-        raise ConfigError("out_is_model", "--out must not be the --model directory")
+def cmd_transform(args) -> dict:
+    model_dir, out_dir = Path(args.model), out_path(args.out)
     model = data_io.load_model(model_dir)
     train = data_io.load_training_data(model_dir)
     new = data_io.load_dataset(args.data)
     embedded = optimizer.transform(model, new.views, train)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_io.save_embeddings(embedded, out_dir)
-    print(
-        summary_line(
-            status="ok",
-            command="transform",
-            views=len(embedded),
-            points=new.n_samples,
-            d=embedded[0].shape[0] if embedded else 0,
-            out=out_dir,
-        )
-    )
-    return EXIT_OK
+    return dict(views=len(embedded), points=new.n_samples, d=embedded[0].shape[0], out=out_dir)
 
 
 def split_indices(n: int, train_frac: float, rng) -> tuple:
@@ -149,12 +145,12 @@ def evaluate_repeat(data, cfg, task, train_idx, test_idx, cutoffs):
                     test_embedded[v], model.embeddings[v], test.labels, train.labels, cutoffs
                 )
             )
-    headline = "accuracy" if task == "classification" else "map"
-    best = int(np.argmax([rec[headline] for rec in per_view]))
+    best = int(np.argmax([rec[HEADLINE[task]] for rec in per_view]))
     return per_view, best, model
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
+    out = out_path(args.out, is_file=True)
     cfg = load_config_file(args.config, args.recipe)
     data = data_io.load_dataset(args.data)
     if data.labels is None:
@@ -204,21 +200,17 @@ def cmd_eval(args) -> int:
             }
         )
 
-    if task == "classification":
-        mean_best = float(np.mean([r["best"]["accuracy"] for r in repeats]))
-        mean_block = {"best_accuracy": mean_best}
-        headline = {"mean_best_accuracy": mean_best}
-    else:
-        mean_block = {
-            "best_map": float(np.mean([r["best"]["map"] for r in repeats])),
-            "cutoffs": cutoffs,
-        }
-        for key in ("precision", "recall", "f1"):
-            mean_block[f"best_{key}"] = [
-                float(np.mean([r["best"][key][ci] for r in repeats]))
-                for ci in range(len(cutoffs))
-            ]
-        headline = {"mean_best_map": mean_block["best_map"]}
+    # best_<key>: each entry of the best view's record averaged over the
+    # repeats, a per-cutoff list entry by entry; cutoffs copied once
+    mean_block = {}
+    for key, first in repeats[0]["best"].items():
+        values = [r["best"][key] for r in repeats]
+        if key == "cutoffs":
+            mean_block[key] = first
+        elif isinstance(first, list):
+            mean_block[f"best_{key}"] = [float(np.mean(col)) for col in zip(*values)]
+        else:
+            mean_block[f"best_{key}"] = float(np.mean(values))
 
     report_doc = {
         "task": task,
@@ -228,26 +220,21 @@ def cmd_eval(args) -> int:
         "per_repeat": repeats,
         "mean": mean_block,
     }
-    out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    data_io.save_report(report_doc, out_path)
-    print(
-        summary_line(
-            status="ok",
-            command="eval",
-            task=args.task,
-            repeats=args.repeats,
-            train_frac=args.train_frac,
-            seed=args.seed,
-            **headline,
-            out=out_path,
-        )
-    )
-    return EXIT_OK
+    out.parent.mkdir(parents=True, exist_ok=True)
+    data_io.save_report(report_doc, out)
+    metric = HEADLINE[task]
+    return {
+        "task": args.task,
+        "repeats": args.repeats,
+        "train_frac": args.train_frac,
+        "seed": args.seed,
+        f"mean_best_{metric}": mean_block[f"best_{metric}"],
+        "out": out,
+    }
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
+    out_dir = out_path(args.out)
     try:
         data = data_io.generate_synthetic(
             classes=args.classes,
@@ -260,19 +247,8 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError("bad_generator_flags", str(exc)) from None
-    out_dir = Path(args.out)
     data_io.save_dataset(data, out_dir)
-    print(
-        summary_line(
-            status="ok",
-            command="synth",
-            views=data.n_views,
-            samples=data.n_samples,
-            classes=args.classes,
-            out=out_dir,
-        )
-    )
-    return EXIT_OK
+    return dict(views=data.n_views, samples=data.n_samples, classes=args.classes, out=out_dir)
 
 
 def build_parser() -> Parser:
@@ -322,7 +298,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        fields = args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
@@ -335,6 +311,8 @@ def main(argv=None) -> int:
     except (NumericError, KmsaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    print(summary_line(status="ok", command=args.command, **fields))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -258,10 +258,12 @@ def load_model(path) -> KmsaModel:
             raise FormatError(f"{manifest_path}: a gaussian kernel keeps a {MEDIAN!r} bandwidth")
         if len(kernels) != len(alpha):
             raise FormatError(f"{manifest_path}: {len(alpha)} weights but {len(kernels)} kernels")
+        if not kernels:
+            raise FormatError(f"{manifest_path}: a model needs at least one view")
         config = KmsaConfig.from_dict(manifest["config"])
         m, d = len(alpha), config.d
         coefficients = _read_view_matrices(path, "coefficients", m, d)
-        n = len(coefficients[0]) if m else 0
+        n = len(coefficients[0])
         means = None
         if config.center_kernel:
             means = tuple(mu[:, 0] for mu in _read_view_matrices(path, "kernel_means", m, 1, n))
@@ -294,6 +296,16 @@ def _read_view_matrices(path: Path, name: str, m: int, cols: int, rows=None) -> 
             raise FormatError(f"{file}: {A.shape} values, expected {(rows, cols)}")
         matrices.append(A)
     return tuple(matrices)
+
+
+def is_model_part(path) -> bool:
+    """Whether a directory is part of a model: it holds a manifest.json, or
+    it is a train/ whose parent does. A command that writes elsewhere must
+    not write there."""
+    path = Path(path).resolve()
+    return (path / "manifest.json").exists() or (
+        path.name == "train" and (path.parent / "manifest.json").exists()
+    )
 
 
 def load_training_data(model_path) -> MultiviewDataset:

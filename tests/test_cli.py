@@ -316,7 +316,7 @@ class TestTransform:
             "--out", str(model / ".." / "model"),
         )
         assert code == 1 and stdout == ""
-        assert "--out must not be the --model directory" in err
+        assert "--out must not be part of a model directory" in err
         assert {p: p.read_bytes() for p in model.rglob("*") if p.is_file()} == before
 
     def test_dimension_mismatch_exits_one(self, synth_dir, tmp_path, capsys):
@@ -376,6 +376,7 @@ class TestTransform:
                      id="unknown-config-key"),
         pytest.param(lambda doc: {**doc, "kernels": doc["kernels"][1:]}, id="kernels-short"),
         pytest.param(lambda doc: {**doc, "alpha": doc["alpha"][1:]}, id="alpha-short"),
+        pytest.param(lambda doc: {**doc, "alpha": [], "kernels": []}, id="no-views"),
     ])
     def test_malformed_manifest_exits_two(self, fitted_model, tmp_path, capsys, edit):
         model = tmp_path / "model"
@@ -587,6 +588,67 @@ def test_fit_outputs_parse_back_through_loaders(synth_dir, tmp_path, capsys):
 def files(root: Path) -> dict:
     """Every file under root, by relative path, with its bytes."""
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["transform", "synth", "eval"])
+def test_out_in_another_model_exits_one(fitted_model, tmp_path, capsys, command):
+    # a model directory, and its train/, belong to that model alone: transform
+    # would replace runB's embeddings with those of other points, and synth its
+    # training views, both without a word
+    run_b = tmp_path / "runB"
+    shutil.copytree(fitted_model / "run", run_b)
+    new = tmp_path / "new"
+    assert run(capsys, "synth", "--out", str(new), "--per-class", "8",
+               "--informative-views", "2", "--noise-views", "1", "--seed", "5")[0] == 0
+    argv = {
+        "transform": ["transform", "--model", str(fitted_model / "run" / "model"),
+                      "--data", str(new), "--out", str(run_b / "model")],
+        "synth": ["synth", "--seed", "9", "--out", str(run_b / "model" / "train")],
+        "eval": ["eval", "--task", "classify", "--data", str(new), "--repeats", "1",
+                 "--config", str(fitted_model / "config.json"),
+                 "--out", str(run_b / "model" / "metrics.json")],
+    }[command]
+    before = files(run_b)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == f"error: --out must not be part of a model directory: {argv[-1]}\n"
+    assert files(run_b) == before
+
+
+SUMMARY_KEYS = {
+    "fit": "views samples d sweeps objective alpha mean_divergence",
+    "transform": "views points d",
+    "synth": "views samples classes",
+    "eval-classify": "task repeats train_frac seed mean_best_accuracy",
+    "eval-retrieve": "task repeats train_frac seed mean_best_map",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_KEYS))
+def test_summary_line_keys(fitted_model, tmp_path, capsys, case):
+    # main prints each command's one summary line, status and command first
+    # and out last; a command that fails prints nothing on stdout
+    data, cfg = str(fitted_model / "data"), str(fitted_model / "config.json")
+    command, _, task = case.partition("-")
+    argv, breaker = {
+        "fit": (["--data", data, "--config", cfg], "--data"),
+        "transform": (["--model", str(fitted_model / "run" / "model"), "--data", data],
+                      "--data"),
+        "synth": (["--per-class", "4"], "--classes"),
+        "eval": (["--task", task, "--data", data, "--config", cfg, "--repeats", "2"], "--data"),
+    }[command]
+    argv = [command, *argv, "--out", str(tmp_path / "out")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0, err
+    assert stdout.count("\n") == 1 and stdout.endswith("\n")
+    pairs = [field.split("=", 1) for field in stdout.split()]
+    keys = ["status", "command", *SUMMARY_KEYS[case].split(), "out"]
+    assert [key for key, _ in pairs] == keys
+    assert pairs[0][1] == "ok" and pairs[1][1] == command
+    # argparse keeps the last value of a repeated flag
+    bad = str(tmp_path / "ghost") if breaker == "--data" else "0"
+    code, stdout, _ = run(capsys, *argv, breaker, bad)
+    assert code != 0 and stdout == ""
 
 
 class TestRewrite:
