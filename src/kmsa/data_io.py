@@ -55,15 +55,21 @@ def _parse_cell(text: str, path, row: int, col: int) -> float:
     return value
 
 
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text less a leading BOM; IoError if unreadable, FormatError if not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a samples-by-features CSV, skipping a header row when the first
     cell is not numeric. Raises IoError / FormatError."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty file")
     start = 0
@@ -320,17 +326,22 @@ def save_report(report: dict, path) -> None:
     )
 
 
+def _finite_number(text: str) -> float:
+    """A JSON float's value; ValueError for NaN, +-Infinity or an overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json_object(path) -> dict:
     """The JSON object in the file at path. Raises IoError when the file cannot
-    be read, FormatError when it is not JSON or not an object."""
+    be read, FormatError when it is not an object of finite JSON numbers."""
     path = Path(path)
+    text = _read_text(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # json.JSONDecodeError among them
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")

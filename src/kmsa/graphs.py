@@ -13,25 +13,22 @@ The builders check no rule that GraphRecipe or types.validate_config judges.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, GraphError
-from .kernels import Distances
+from .errors import GraphError
+from .kernels import Distances, symmetrize
 from .types import MEDIAN, GraphRecipe
 
 
 @dataclass(frozen=True)
 class GraphPair:
     """Similarity S and constraint factor B: the kernelized constraint is
-    K B K (K diag(B) K for a vector B), or K itself when B is None. notes
-    carries non-fatal diagnostics (e.g. lasso paths that hit the step cap)."""
+    K B K (K diag(B) K for a vector B), or K itself when B is None."""
 
     S: np.ndarray
     B: np.ndarray | None
-    notes: tuple = ()
 
 
 def pca_graph(n: int) -> GraphPair:
@@ -41,13 +38,12 @@ def pca_graph(n: int) -> GraphPair:
     return GraphPair(S=S, B=None)
 
 
-def lpp_graph(X: np.ndarray, k: int, heat, dists: Distances | None = None) -> GraphPair:
+def lpp_graph(dists: Distances, k: int, heat) -> GraphPair:
     """Heat-kernel weights exp(-||x_i - x_j||^2 / t) on the symmetric kNN
-    graph (edge when i is among j's k nearest or vice versa); B is the degree
-    vector of S, its row sums. dists, X's Distances when the caller shares
-    them, give the squared distances and the median heat; their diagonal is
-    marked while the neighbors are picked and then restored."""
-    dists = Distances(X) if dists is None else dists
+    graph of the view whose Distances are dists (edge when i is among j's k
+    nearest or vice versa); B is the degree vector of S, its row sums. dists
+    give the squared distances and the median heat; their diagonal is marked
+    while the neighbors are picked and then restored."""
     t = float(dists.median ** 2 if heat == MEDIAN else heat)
     if t <= 0:  # GraphRecipe judges a configured heat, not the median's square
         raise GraphError(f"lpp median heat {dists.median!r}**2 underflows to 0")
@@ -77,9 +73,7 @@ def lda_graph(labels) -> GraphPair:
     counts = np.bincount(labels)
     S = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
     S /= counts[labels][:, None]
-    S += S.T  # in place: numpy buffers the overlapping operand
-    S *= 0.5
-    np.fill_diagonal(S, 0.0)
+    np.fill_diagonal(symmetrize(S), 0.0)
     B = np.full((n, n), -1.0 / n)
     B.flat[:: n + 1] += 1.0
     return GraphPair(S=S, B=B)
@@ -114,7 +108,8 @@ def _next_events(w, corr, moved, level, free, c, sign, step):
 
 def lasso_codes(problems) -> list:
     """The exact lasso codes of several views of the same N samples, one
-    (X, lam, max_steps) problem per view: [(M, finished)] in problem order.
+    (X, lam, max_steps) problem per view, max_steps >= 1 (GraphRecipe's
+    rule): [(M, finished)] in problem order.
     Column i of M codes x_i by the other columns of X; finished[i] is False
     when its path hit max_steps events before reaching lam.
 
@@ -139,8 +134,7 @@ def lasso_codes(problems) -> list:
     lams = np.array([lam for _, lam, _ in problems], dtype=float)
     caps = np.array([cap for _, _, cap in problems], dtype=int)
     codes, finished = np.zeros((len(Xs), n, n)), np.zeros((len(Xs), n), dtype=bool)
-    queued = np.flatnonzero(caps > 0)  # a path capped at 0 steps never runs
-    pending, head = (np.repeat(queued, n), np.tile(np.arange(n), queued.size)), 0
+    pending, head = (np.repeat(np.arange(len(Xs)), n), np.tile(np.arange(n), len(Xs))), 0
     rows, width = np.arange(n)[:, None], max(1, _BLOCK // max(n, 1))
     # every view's rows, bordered by a zero row and, at the padding index n, a
     # zero column; rows_of[v] lists view v's rows, padded with the zero row
@@ -265,24 +259,13 @@ def lasso_codes(problems) -> list:
     return [(M.copy(), f) for M, f in zip(codes, finished)]
 
 
-def spp_graph(X: np.ndarray, lam: float, max_iters: int, codes=None) -> GraphPair:
-    """Sparse-coding similarity (Qiao, Chen & Tan, 2010): column i of M is the
-    exact lasso code of x_i by the other samples (self-coefficient fixed at 0,
-    at most max_iters homotopy steps), then S = M + M^T + M^T M with the
-    diagonal zeroed; constraint is K. codes, X's (M, finished) when the
-    caller took them from a shared lasso_codes queue, spare computing them
-    here."""
-    M, finished = lasso_codes([(X, lam, max_iters)])[0] if codes is None else codes
-    notes = tuple(
-        f"lasso column {i} hit the {max_iters}-step homotopy cap before lasso_lambda"
-        for i in np.flatnonzero(~finished)
-    )
-    if notes:
-        message = f"{len(notes)} sparse-coding path(s) hit the homotopy step cap"
-        warnings.warn(message, ConvergenceWarning, stacklevel=2)
+def spp_graph(M: np.ndarray) -> GraphPair:
+    """Sparse-coding similarity (Qiao, Chen & Tan, 2010) from a view's lasso
+    codes M, column i coding x_i by the other samples (lasso_codes):
+    S = M + M^T + M^T M with the diagonal zeroed; constraint is K."""
     S = M + M.T + M.T @ M
     np.fill_diagonal(S, 0.0)
-    return GraphPair(S=S, B=None, notes=notes)
+    return GraphPair(S=S, B=None)
 
 
 def laplacian(S: np.ndarray) -> np.ndarray:
@@ -301,7 +284,7 @@ def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
     ridge * (trace/N) * I.
 
     M is a new matrix, built in place: the product (or a copy of K) is
-    symmetrized as M += M^T, M *= 0.5, and the ridge is added to its diagonal.
+    symmetrized (kernels.symmetrize), and the ridge is added to its diagonal.
     The trace-scaled ridge keeps the generalized eigenproblem definite without
     distorting well-conditioned cases. M is not checked here: the Cholesky
     factorization inside its pencil's solve (eigsolver.pencil_eigh) is the
@@ -309,22 +292,18 @@ def constraint_matrix(K: np.ndarray, B, ridge: float) -> np.ndarray:
     the same bits as a gemm against diag(B), which only adds exact zeros."""
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    M = K.copy() if B is None else (K * B if B.ndim == 1 else K @ B) @ K
-    M += M.T  # in place: numpy buffers the overlapping operand
-    M *= 0.5
+    M = symmetrize(K.copy() if B is None else (K * B if B.ndim == 1 else K @ B) @ K)
     M.flat[:: n + 1] += ridge * (np.trace(M) / n)
     return M
 
 
-def build_graph(
-    X: np.ndarray, labels, recipe: GraphRecipe, dists: Distances | None = None, codes=None
-) -> GraphPair:
-    """Dispatch a recipe to its construction; dists, X's kernels.Distances,
-    reach the lpp graph, and codes, X's lasso codes, the spp graph."""
+def build_graph(dists: Distances, labels, recipe: GraphRecipe, codes) -> GraphPair:
+    """Dispatch a recipe to its construction for the view whose Distances are
+    dists; codes, an spp view's lasso codes, reach the spp graph."""
     if recipe.kind == "pca":
-        return pca_graph(np.asarray(X).shape[1])
+        return pca_graph(dists.X.shape[1])
     if recipe.kind == "lpp":
-        return lpp_graph(X, recipe.k, recipe.heat, dists)
+        return lpp_graph(dists, recipe.k, recipe.heat)
     if recipe.kind == "lda":
         return lda_graph(labels)
-    return spp_graph(X, recipe.lasso_lambda, recipe.lasso_max_iters, codes)
+    return spp_graph(codes)

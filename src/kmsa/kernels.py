@@ -49,54 +49,54 @@ class Distances:
 
     @cached_property
     def median(self) -> float:
-        return median_heuristic_bandwidth(self.X, self.sq)
+        """Median of the N(N-1)/2 pairwise distances; 1.0 when all coincide."""
+        n = self.X.shape[1]
+        if n < 2:
+            raise NumericError("median heuristic needs at least 2 samples")
+        # a mask, not index arrays, and in place from the gather on: about
+        # N^2 / 2 doubles besides sq
+        dist = self.sq[np.triu(np.ones((n, n), dtype=bool), k=1)]
+        np.sqrt(dist, out=dist)
+        med = float(np.median(dist, overwrite_input=True))
+        return med if med > 0.0 else 1.0
 
 
-def median_heuristic_bandwidth(X: np.ndarray, sq: np.ndarray | None = None) -> float:
-    """Median of the N(N-1)/2 pairwise distances; 1.0 when all points coincide.
-    sq, X's pairwise_sq_dists when the caller has them, spares recomputing them."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    if n < 2:
-        raise NumericError("median heuristic needs at least 2 samples")
-    sq = pairwise_sq_dists(X) if sq is None else sq
-    # a mask, not index arrays, and in place from the gather on: about N^2 / 2
-    # doubles besides sq
-    dist = sq[np.triu(np.ones((n, n), dtype=bool), k=1)]
-    np.sqrt(dist, out=dist)
-    med = float(np.median(dist, overwrite_input=True))
-    return med if med > 0.0 else 1.0
+def median_heuristic_bandwidth(X: np.ndarray) -> float:
+    """The median pairwise distance of X's columns (Distances.median)."""
+    return Distances(X).median
 
 
-def resolve_kernel_spec(
-    X: np.ndarray, spec: KernelSpec, dists: Distances | None = None
-) -> KernelSpec:
-    """Make the spec concrete: replace a median-heuristic bandwidth with its
-    value, taken from dists (X's Distances) when given."""
+def symmetrize(A: np.ndarray) -> np.ndarray:
+    """A made exactly symmetric in place, as (A + A^T) / 2, and returned."""
+    A += A.T  # in place: numpy buffers the overlapping operand
+    A *= 0.5
+    return A
+
+
+def resolve_kernel_spec(dists: Distances, spec: KernelSpec) -> KernelSpec:
+    """Make the spec concrete: replace a median-heuristic bandwidth with the
+    median of dists, the view's Distances."""
     if spec.kind == "gaussian" and spec.bandwidth == MEDIAN:
-        med = median_heuristic_bandwidth(X) if dists is None else dists.median
-        return replace(spec, bandwidth=med)
+        return replace(spec, bandwidth=dists.median)
     return spec
 
 
-def _raw_kernel(
-    X: np.ndarray, Y: np.ndarray, spec: KernelSpec, dists: Distances | None = None
-) -> np.ndarray:
-    """k(x, y) for every column pair of X and Y, a median bandwidth resolved on
-    X; dists, X's Distances when Y is X, supply the squared distances. Raises
-    NumericError if any entry is non-finite (overflow, bad input)."""
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    spec = resolve_kernel_spec(X, spec, dists)
+def _raw_kernel(dists: Distances, spec: KernelSpec, Y: np.ndarray | None = None) -> np.ndarray:
+    """k(x, y) for every column pair of dists.X and Y, or of dists.X with
+    itself when Y is None, whose squared distances are then dists.sq; a median
+    bandwidth is resolved on dists.X. Raises NumericError if any entry is
+    non-finite (overflow, bad input)."""
+    X = dists.X
+    spec = resolve_kernel_spec(dists, spec)
     # overflow and a 2 sigma^2 that underflows to 0 surface as non-finite entries
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if spec.kind == "gaussian":
-            K = -(pairwise_sq_dists(X, Y) if dists is None else dists.sq)
+            K = -(dists.sq if Y is None else pairwise_sq_dists(X, Y))
             K /= 2.0 * float(spec.bandwidth) ** 2
             np.exp(K, out=K)
-        elif spec.kind == "linear":
-            K = X.T @ Y
-        else:  # polynomial
-            K = (X.T @ Y + spec.offset) ** spec.degree
+        else:
+            XY = X.T @ (X if Y is None else Y)
+            K = XY if spec.kind == "linear" else (XY + spec.offset) ** spec.degree
     if not np.isfinite(K).all():
         raise NumericError(f"{spec.kind} kernel produced non-finite entries")
     return K
@@ -107,14 +107,12 @@ def build_kernel(
 ) -> np.ndarray:
     """N x N kernel matrix of the view's columns: their raw kernel columns
     against themselves, centered with their own row means when center is set,
-    exactly symmetrized. dists, X's Distances, supply the squared distances a
-    Gaussian kernel reads."""
-    K = _raw_kernel(X, X, spec, dists)
+    exactly symmetrized. dists, X's Distances when the caller holds them,
+    supply the squared distances and the median a Gaussian kernel reads."""
+    K = _raw_kernel(Distances(X) if dists is None else dists, spec)
     if center:
         _center(K, K.mean(axis=1))
-    K += K.T  # in place: numpy buffers the overlapping operand
-    K *= 0.5
-    return K
+    return symmetrize(K)
 
 
 def cross_kernel(
@@ -128,7 +126,7 @@ def cross_kernel(
     copied: numpy's X^T X of one buffer can round apart from X^T X.copy(), and
     training and new points must take one route.
     """
-    K = _raw_kernel(X_train, np.array(X_new, dtype=float), spec)
+    K = _raw_kernel(Distances(X_train), spec, np.array(X_new, dtype=float))
     if means is not None:
         _center(K, means)
     return K

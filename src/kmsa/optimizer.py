@@ -29,9 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigsolver import check_pairs, fix_signs, pencil_eigh, secular_smallest
-from .errors import DimensionError, NonMonotoneWarning, NumericError, WeightDomainWarning
+from .errors import (
+    ConvergenceWarning,
+    DimensionError,
+    NonMonotoneWarning,
+    NumericError,
+    WeightDomainWarning,
+)
 from .graphs import build_graph, constraint_matrix, laplacian, lasso_codes
-from .kernels import Distances, build_kernel, cross_kernel, resolve_kernel_spec
+from .kernels import Distances, build_kernel, cross_kernel, resolve_kernel_spec, symmetrize
 from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
 MONOTONE_SLACK = 1e-8
@@ -180,46 +186,50 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
     The lasso codes of every spp view come first, from one lasso_codes queue,
     before any eigenbasis exists. The pencils follow one view at a time: a
     view's N x N temporaries, its codes included, are gone before the next
-    view's are built."""
+    view's are built. Each spp view's capped paths are reported in its turn,
+    by a ConvergenceWarning and a log line per capped column."""
     m = data.n_views
     recipes = cfg.graphs_for(m)
     spp = [v for v, recipe in enumerate(recipes) if recipe.kind == "spp"]
     problems = [
         (data.views[v], recipes[v].lasso_lambda, recipes[v].lasso_max_iters) for v in spp
     ]
-    codes = dict(zip(spp, lasso_codes(problems)))
-    specs, views, notes = [], [], []
+    codes = dict(zip(spp, lasso_codes(problems)))  # v -> (M, finished)
+    specs, views, log = [], [], []
     for v, (X, spec, recipe) in enumerate(zip(data.views, cfg.kernels_for(m), recipes)):
-        spec, KPK, M = _view_pencil(
-            X, data.labels, spec, recipe, cfg, notes, codes.pop(v, None)
-        )
+        if v in codes:
+            cap, capped = recipe.lasso_max_iters, np.flatnonzero(~codes[v][1])
+            if capped.size:
+                message = f"{capped.size} sparse-coding path(s) hit the homotopy step cap"
+                warnings.warn(message, ConvergenceWarning, stacklevel=3)
+            log += [f"lasso column {i} hit the {cap}-step homotopy cap before lasso_lambda"
+                    for i in capped]
+        # the codes are handed on, not held here: _view_pencil frees them
+        spec, KPK, M = _view_pencil(X, data.labels, spec, recipe, cfg, codes.pop(v, (None,))[0])
         specs.append(spec)
         views.append(view_state(KPK, M))
         del KPK, M
-    return views, tuple(specs), notes
+    return views, tuple(specs), log
 
 
-def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, notes: list, codes):
+def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, codes):
     """A view's resolved kernel spec, symmetrized K P K and ridged constraint
-    M; codes are an spp view's lasso codes, else None. The graph, the median
+    M; codes are an spp view's lasso codes M, else None. The graph, the median
     bandwidth and the kernel read one Distances, computed when the first of
     them needs it, so a graph that reads no distances runs before any exist.
     The codes, the distances, the graph and K go out of scope here, before
     view_state diagonalizes, each as soon as its last reader is done."""
     dists = Distances(X)
-    pair = build_graph(X, labels, recipe, dists, codes)
+    pair = build_graph(dists, labels, recipe, codes)
     del codes
-    notes.extend(pair.notes)
-    spec = resolve_kernel_spec(X, spec, dists)
+    spec = resolve_kernel_spec(dists, spec)
     K = build_kernel(X, spec, center=cfg.center_kernel, dists=dists)
     del dists
     S, B = pair.S, pair.B
     del pair
     KPK = K @ laplacian(S) @ K
     del S
-    KPK += KPK.T  # symmetrized in place: numpy buffers the overlapping operand
-    KPK *= 0.5
-    return spec, KPK, constraint_matrix(K, B, cfg.ridge)
+    return spec, symmetrize(KPK), constraint_matrix(K, B, cfg.ridge)
 
 
 def fit(

@@ -172,9 +172,9 @@ def _class_ids(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiviewDataset:
-    """m >= 1 feature views over the same N samples, optionally with one class
-    id per sample; building a dataset that breaks a rule raises ConfigError.
-    N may be 0 or 1: two samples are a rule of a fit (validate_config)."""
+    """m >= 1 views of finite features over the same N samples, optionally with
+    one class id per sample; building a dataset that breaks a rule raises
+    ConfigError. N may be 0 or 1: two samples are a rule of a fit (validate_config)."""
 
     views: tuple
     labels: Optional[np.ndarray] = None
@@ -190,6 +190,7 @@ class MultiviewDataset:
             _check(X.shape[0] >= 1, "empty_view", f"view {v} has no features")
             message = f"view {v} has {X.shape[1]} samples, view 0 has {n}"
             _check(X.shape[1] == n, "mismatched_samples", message)
+            _check(np.isfinite(X).all(), "view_not_finite", f"view {v} has a non-finite value")
         if labels is not None:
             _check(labels.ndim == 1, "labels_shape", "labels must be a vector of class ids")
             _check(len(labels) == n, "labels_length", f"got {len(labels)} labels for {n} samples")

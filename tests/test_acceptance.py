@@ -145,10 +145,11 @@ def test_05_kernel_pca_reduction():
         model = fit(data, cfg)
         assert np.allclose(model.alpha, [1.0])
         from kmsa.graphs import build_graph, constraint_matrix
-        from kmsa.kernels import build_kernel
+        from kmsa.kernels import Distances, build_kernel
 
         K_centered = build_kernel(X, KernelSpec(kind="linear"), center=True)
-        M = constraint_matrix(K_centered, build_graph(X, None, cfg.graph).B, cfg.ridge)
+        B = build_graph(Distances(X), None, cfg.graph, None).B
+        M = constraint_matrix(K_centered, B, cfg.ridge)
         U = model.coefficients[0]
         projector = U @ U.T @ M
         _, Q = kpca_oracle(K_centered, 3)

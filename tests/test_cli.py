@@ -87,6 +87,14 @@ class TestSynth:
                            "--classes", "0")
         assert code == 1
 
+    def test_non_finite_noise_scale_exits_one(self, tmp_path, capsys):
+        # the dataset refuses non-finite features when it is built, so no
+        # file is written
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--noise-scale", "nan")
+        assert code == 1 and "non-finite" in err
+        assert not out.exists()
+
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         blobs = []
         for name in ("s1", "s2"):
@@ -151,6 +159,48 @@ class TestFit:
             "--out", str(tmp_path / "o"), "--config", str(bad),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"d": 2, "kappa": Infinity}',
+        '{"d": 2, "ridge": NaN}',
+        '{"d": 2, "eta": -Infinity}',
+        '{"d": 2, "graph": {"kind": "spp", "lasso_lambda": Infinity}}',
+        '{"d": 2, "kappa": 1e400}',
+    ], ids=["kappa-infinity", "ridge-nan", "eta-minus-infinity", "lasso-infinity",
+            "kappa-overflow"])
+    def test_non_finite_config_number_exits_two(self, synth_dir, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        code, _, err = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {cfg}: invalid JSON: ") and "not a finite number" in err
+
+    def test_byte_order_marks_are_read_past(self, synth_dir, tmp_path, capsys):
+        # a BOM before the config's object, and before a view's first row
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"d": 2, "ridge": 0.01, "max_iters": 2}')
+        view = synth_dir / "view_1.csv"
+        view.write_bytes(b"\xef\xbb\xbf" + view.read_bytes())
+        code, out, _ = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        )
+        assert code == 0 and "samples=24" in out
+
+    @pytest.mark.parametrize("name", ["config.json", "view_1.csv"])
+    def test_non_utf8_file_exits_two(self, synth_dir, tmp_path, capsys, name):
+        cfg = write_config(tmp_path)
+        bad = cfg if name == "config.json" else synth_dir / name
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        code, _, err = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
 
     def test_unknown_config_key_exits_one(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, kapa=0.5)
@@ -374,6 +424,9 @@ class TestTransform:
         pytest.param(with_kernel(bandwidth="median"), id="kernel-gaussian-median"),
         pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kapa": 0.5}},
                      id="unknown-config-key"),
+        # json.dumps writes an infinite kappa as the non-JSON Infinity
+        pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kappa": float("inf")}},
+                     id="config-kappa-infinity"),
         pytest.param(lambda doc: {**doc, "kernels": doc["kernels"][1:]}, id="kernels-short"),
         pytest.param(lambda doc: {**doc, "alpha": doc["alpha"][1:]}, id="alpha-short"),
         pytest.param(lambda doc: {**doc, "alpha": [], "kernels": []}, id="no-views"),

@@ -90,6 +90,17 @@ class TestMatrixCsv:
         with pytest.raises(FormatError, match="row 2, column 2"):
             read_matrix_csv(path)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(FormatError, match=r"latin\.csv: not UTF-8 text"):
+            read_matrix_csv(path)
+
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("1,2\nnan,4\n")

@@ -34,6 +34,11 @@ from oracles import (
 )
 
 
+def spp(X, lam, max_iters):
+    """X's spp graph, from its lasso codes."""
+    return spp_graph(lasso_codes([(X, lam, max_iters)])[0][0])
+
+
 def lasso(A, y, lam, max_iters):
     """min 0.5 ||y - A c||^2 + lam ||c||_1 as the last column of the codes of
     [A | y]: that column is coded by A alone."""
@@ -112,19 +117,19 @@ class TestPcaGraph:
 class TestLppGraph:
     def test_identical_neighbors_weight_one(self):
         X = np.array([[0.0, 0.0, 5.0]])
-        pair = lpp_graph(X, k=1, heat=1.0)
+        pair = lpp_graph(Distances(X), k=1, heat=1.0)
         assert pair.S[0, 1] == 1.0
 
     def test_full_neighborhood_is_dense(self, rng):
         X = rng.standard_normal((2, 6))
-        pair = lpp_graph(X, k=5, heat=1.0)
+        pair = lpp_graph(Distances(X), k=5, heat=1.0)
         off = pair.S[~np.eye(6, dtype=bool)]
         assert (off > 0).all()
 
     def test_three_collinear_points(self):
         # nearest neighbors: 2 is 1's nearest, 1 is 2's nearest, 2 is 3's
         X = np.array([[0.0, 1.0, 3.0]])
-        S = lpp_graph(X, k=1, heat=1.0).S
+        S = lpp_graph(Distances(X), k=1, heat=1.0).S
         assert S[0, 1] == pytest.approx(np.exp(-1.0))
         assert S[1, 2] == pytest.approx(np.exp(-4.0))
         assert S[0, 2] == 0.0
@@ -133,7 +138,7 @@ class TestLppGraph:
         # B is the degree matrix's diagonal, and K diag(B) K is formed from
         # it to the bit, without the dense diagonal matrix
         X = rng.standard_normal((3, 8))
-        pair = lpp_graph(X, k=2, heat="median")
+        pair = lpp_graph(Distances(X), k=2, heat="median")
         assert pair.B.shape == (8,)
         assert np.array_equal(pair.B, pair.S.sum(axis=1))
         K = build_kernel(X, KernelSpec())
@@ -142,7 +147,7 @@ class TestLppGraph:
 
     def test_laplacian_positive_semidefinite(self, rng):
         X = rng.standard_normal((3, 10))
-        P = laplacian(lpp_graph(X, k=3, heat="median").S)
+        P = laplacian(lpp_graph(Distances(X), k=3, heat="median").S)
         assert np.linalg.eigvalsh(P).min() >= -1e-8
 
     def test_underflowing_median_heat(self, rng):
@@ -152,7 +157,7 @@ class TestLppGraph:
         dists = Distances(X)
         dists.median = 1e-170
         with pytest.raises(GraphError, match="underflows to 0"):
-            lpp_graph(X, k=2, heat="median", dists=dists)
+            lpp_graph(dists, k=2, heat="median")
 
     def test_median_heat_underflows_in_a_fit(self):
         # an even count of distances has the mean of the middle two as its
@@ -167,7 +172,7 @@ class TestLppGraph:
         # no overflow RuntimeWarning, and the fit's constraint K B K = 0 is
         # definite only through the ridge
         X = rng.standard_normal((2, 6))
-        assert not lpp_graph(X, k=2, heat=heat).S.any()
+        assert not lpp_graph(Distances(X), k=2, heat=heat).S.any()
         data = MultiviewDataset([X])
         with pytest.raises(NumericError, match="raise the ridge"):
             fit(data, KmsaConfig(d=1, graph=GraphRecipe(kind="lpp", k=2, heat=heat)))
@@ -193,7 +198,7 @@ class TestLppGraph:
         adj |= adj.T
         S = np.where(adj, np.exp(-sq), 0.0)
         np.fill_diagonal(S, 0.0)
-        assert np.array_equal(lpp_graph(X, k=k, heat=1.0).S, S)
+        assert np.array_equal(lpp_graph(Distances(X), k=k, heat=1.0).S, S)
 
 
 class TestLdaGraph:
@@ -394,8 +399,8 @@ class TestSppGraph:
         X = np.array(
             [[1.0, 10.0, -9.0, 1.0], [1.0, -10.0, 9.0, 1.0]]
         )
-        pair = spp_graph(X, lam=0.05, max_iters=2000)
         M, converged = lasso_codes([(X, 0.05, 2000)])[0]
+        pair = spp_graph(M)
         S = M + M.T + M.T @ M
         np.fill_diagonal(S, 0.0)
         assert np.array_equal(pair.S, S)  # the codes spp_graph builds on
@@ -409,24 +414,27 @@ class TestSppGraph:
     def test_huge_lambda_gives_zero_graph(self, rng):
         X = rng.standard_normal((2, 5))
         lam = float(np.abs(X.T @ X).max()) + 1.0
-        pair = spp_graph(X, lam=lam, max_iters=100)
+        pair = spp(X, lam=lam, max_iters=100)
         assert np.allclose(pair.S, 0.0)
         assert np.allclose(laplacian(pair.S), 0.0)
 
     def test_constraint_is_kernel(self, rng):
         X = rng.standard_normal((2, 5))
-        pair = spp_graph(X, lam=1.0, max_iters=50)
+        pair = spp(X, lam=1.0, max_iters=50)
         assert pair.B is None
 
     def test_iteration_cap_noted(self, rng):
+        # the fit that runs the lasso queue reports its capped paths
         from kmsa import ConvergenceWarning
 
         X = rng.standard_normal((4, 12))
+        recipe = GraphRecipe(kind="spp", lasso_lambda=1e-6, lasso_max_iters=1)
         with pytest.warns(ConvergenceWarning):
-            pair = spp_graph(X, lam=1e-6, max_iters=1)
-        assert pair.notes  # at least one column cannot finish in one sweep
+            model = fit(MultiviewDataset([X]), KmsaConfig(d=1, graph=recipe))
+        notes = tuple(line for line in model.log if line.startswith("lasso column"))
+        assert notes  # at least one column cannot finish in one sweep
         _, converged = lasso_codes([(X, 1e-6, 1)])[0]
-        assert pair.notes == tuple(
+        assert notes == tuple(
             f"lasso column {i} hit the 1-step homotopy cap before lasso_lambda"
             for i in np.flatnonzero(~converged)
         )
@@ -441,9 +449,9 @@ class TestLaplacianAndConstraint:
         labels = [0, 0, 0, 1, 1, 1, 2, 2]
         pairs = [
             pca_graph(8),
-            lpp_graph(X, k=3, heat="median"),
+            lpp_graph(Distances(X), k=3, heat="median"),
             lda_graph(labels),
-            spp_graph(X, lam=0.2, max_iters=200),
+            spp(X, lam=0.2, max_iters=200),
         ]
         for pair in pairs:
             P = laplacian(pair.S)

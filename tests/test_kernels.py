@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmsa import KernelSpec, NumericError, build_kernel, kernels, median_heuristic_bandwidth
-from kmsa.kernels import cross_kernel, resolve_kernel_spec
+from kmsa.kernels import Distances, cross_kernel, resolve_kernel_spec
 
 
 def test_gaussian_identical_columns_give_one():
@@ -107,10 +107,10 @@ def test_non_finite_input_raises():
 
 def test_resolve_median_spec(rng):
     X = rng.standard_normal((3, 8))
-    spec = resolve_kernel_spec(X, KernelSpec())
+    spec = resolve_kernel_spec(Distances(X), KernelSpec())
     assert spec.bandwidth == pytest.approx(median_heuristic_bandwidth(X))
     fixed = KernelSpec(bandwidth=2.0)
-    assert resolve_kernel_spec(X, fixed) == fixed
+    assert resolve_kernel_spec(Distances(X), fixed) == fixed
 
 
 @pytest.mark.parametrize("spec", [
@@ -125,7 +125,7 @@ def test_cross_kernel_reproduces_training_columns(rng, spec):
     # new points, whether or not they share X's buffer (at N=12 the routes
     # round apart)
     X = rng.standard_normal((4, 12))
-    raw = kernels._raw_kernel(X, X, spec)
+    raw = kernels._raw_kernel(Distances(X), spec)
     assert np.array_equal(raw, raw.T)
     assert np.array_equal(build_kernel(X, spec), raw)
     cols = cross_kernel(X, X, spec)
@@ -146,13 +146,13 @@ def test_centered_cross_kernel_of_new_points_builds_no_training_kernel(rng, monk
     # given the training kernel's row means, centering reads the new columns
     # only: no training x training entry is evaluated
     X, Y = rng.standard_normal((4, 400)), rng.standard_normal((4, 10))
-    spec = resolve_kernel_spec(X, KernelSpec(kind=kind))
-    means = kernels._raw_kernel(X, X, spec).mean(axis=1)
+    spec = resolve_kernel_spec(Distances(X), KernelSpec(kind=kind))
+    means = kernels._raw_kernel(Distances(X), spec).mean(axis=1)
     seen, real_raw = [], kernels._raw_kernel
 
-    def recording_raw(A, B, *args, **kwargs):
-        seen.append(B)
-        return real_raw(A, B, *args, **kwargs)
+    def recording_raw(dists, spec, Y=None):
+        seen.append(Y)
+        return real_raw(dists, spec, Y)
 
     monkeypatch.setattr(kernels, "_raw_kernel", recording_raw)
     tracemalloc.start()
@@ -164,7 +164,7 @@ def test_centered_cross_kernel_of_new_points_builds_no_training_kernel(rng, monk
     assert peak <= 0.75 * 8.0 * 400 * 400
     # the new points themselves, by value: cross_kernel hands on a copy
     assert len(seen) == 1 and np.array_equal(seen[0], Y)
-    want = real_raw(X, Y, spec) - means[:, None]
+    want = real_raw(Distances(X), spec, Y) - means[:, None]
     want -= want.mean(axis=0, keepdims=True)
     assert np.array_equal(cols, want)
 
@@ -183,7 +183,7 @@ def test_centered_build_kernel_computes_the_raw_kernel_once(rng, monkeypatch, ki
     K = build_kernel(X, KernelSpec(kind=kind), center=True)
     assert len(calls) == 1
     H = np.eye(9) - np.full((9, 9), 1.0 / 9)
-    raw = real_raw(X, X, KernelSpec(kind=kind))
+    raw = real_raw(Distances(X), KernelSpec(kind=kind))
     assert np.allclose(K, H @ raw @ H, atol=1e-12)
 
 

@@ -2,6 +2,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from kmsa.graphs import (
     pca_graph,
     spp_graph,
 )
-from kmsa.kernels import build_kernel, cross_kernel
+from kmsa.kernels import Distances, build_kernel, cross_kernel
 from kmsa.types import MEDIAN
 from kmsa.optimizer import (
     MONOTONE_SLACK,
@@ -115,9 +116,12 @@ def fitted_view(data, model, v):
     """View v's kernel and graph, recomputed from the data and the model's
     resolved kernel spec exactly as fit builds them."""
     cfg = model.config
-    X = data.views[v]
+    X, recipe = data.views[v], cfg.graphs_for(data.n_views)[v]
     K = build_kernel(X, model.kernels[v], center=cfg.center_kernel)
-    return K, build_graph(X, data.labels, cfg.graphs_for(data.n_views)[v])
+    codes = None
+    if recipe.kind == "spp":
+        codes = lasso_codes([(X, recipe.lasso_lambda, recipe.lasso_max_iters)])[0][0]
+    return K, build_graph(Distances(X), data.labels, recipe, codes)
 
 
 def fitted_constraint(data, model, v):
@@ -785,10 +789,10 @@ class TestFit:
         for v in (0, 2):
             X, recipe = data.views[v], recipes[v]
             lam, cap = recipe.lasso_lambda, recipe.lasso_max_iters
-            with pytest.warns(ConvergenceWarning):
-                S = spp_graph(X, lam, cap).S
+            M, finished = lasso_codes([(X, lam, cap)])[0]
+            S = spp_graph(M).S
             assert np.abs(seen[v] - S).max() <= 1e-9 * np.abs(S).max()
-            capped = np.flatnonzero(~lasso_codes([(X, lam, cap)])[0][1])
+            capped = np.flatnonzero(~finished)
             warned.append(f"{capped.size} sparse-coding path(s) hit the homotopy step cap")
             notes += [
                 f"lasso column {i} hit the {cap}-step homotopy cap before lasso_lambda"
@@ -797,7 +801,7 @@ class TestFit:
         assert [str(w.message) for w in record if w.category is ConvergenceWarning] == warned
         assert [line for line in model.log if line.startswith("lasso column")] == notes
         for v in (1, 3):
-            assert np.array_equal(seen[v], lpp_graph(data.views[v], 4, MEDIAN).S)
+            assert np.array_equal(seen[v], lpp_graph(Distances(data.views[v]), 4, MEDIAN).S)
 
     def test_a_fit_runs_every_spp_view_in_one_lasso_queue(self, monkeypatch):
         calls, real = [], graphs.lasso_codes
@@ -969,9 +973,9 @@ class TestTransform:
         model = fit(data, cfg)
         seen, real_raw = [], kernels._raw_kernel
 
-        def recording_raw(A, B, *args, **kwargs):
-            seen.append(B)
-            return real_raw(A, B, *args, **kwargs)
+        def recording_raw(dists, spec, Y=None):
+            seen.append(Y)
+            return real_raw(dists, spec, Y)
 
         monkeypatch.setattr(kernels, "_raw_kernel", recording_raw)
         out = transform(model, new, data)
@@ -980,8 +984,8 @@ class TestTransform:
         for X, Y, spec, U, mu, Z in zip(
             data.views, new, model.kernels, model.coefficients, model.kernel_means, out
         ):
-            assert np.array_equal(mu, real_raw(X, X, spec).mean(axis=1))
-            cols = real_raw(X, Y, spec) - mu[:, None]
+            assert np.array_equal(mu, real_raw(Distances(X), spec).mean(axis=1))
+            cols = real_raw(Distances(X), spec, Y) - mu[:, None]
             assert np.array_equal(Z, U.T @ (cols - cols.mean(axis=0, keepdims=True)))
 
 
@@ -1017,20 +1021,26 @@ class TestWorkingSet:
     def test_each_view_computes_its_distances_and_median_once(self, monkeypatch):
         # the median bandwidth, the kernel, lpp's median heat and its
         # neighbors share one distance matrix; the final kernel rebuild
-        # computes it again
-        calls = {"pairwise_sq_dists": 0, "median_heuristic_bandwidth": 0}
-        for name in calls:
-            real = getattr(kernels, name)
+        # computes it again. The median is counted where it is computed
+        calls = {"pairwise_sq_dists": 0, "median": 0}
+        real_median, real_sq = kernels.Distances.median.func, kernels.pairwise_sq_dists
 
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def counting_median(dists):
+            calls["median"] += 1
+            return real_median(dists)
 
-            for module in list(sys.modules.values()):
-                if getattr(module, "__name__", "").startswith("kmsa") and (
-                    getattr(module, name, None) is real
-                ):
-                    monkeypatch.setattr(module, name, counting)
+        def counting_sq(*args, **kwargs):
+            calls["pairwise_sq_dists"] += 1
+            return real_sq(*args, **kwargs)
+
+        median = cached_property(counting_median)
+        median.__set_name__(kernels.Distances, "median")
+        monkeypatch.setattr(kernels.Distances, "median", median)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kmsa") and (
+                getattr(module, "pairwise_sq_dists", None) is real_sq
+            ):
+                monkeypatch.setattr(module, "pairwise_sq_dists", counting_sq)
         data = generate_synthetic(per_class=6, seed=1)
         cfg = KmsaConfig(d=2, graph=GraphRecipe(kind="lpp"), max_iters=2)
         assert cfg.kernel.bandwidth == MEDIAN and cfg.graph.heat == MEDIAN
@@ -1038,7 +1048,7 @@ class TestWorkingSet:
             warnings.simplefilter("ignore", WeightDomainWarning)
             fit(data, cfg)
         m = data.n_views
-        assert calls["median_heuristic_bandwidth"] <= m
+        assert calls["median"] <= m
         assert calls["pairwise_sq_dists"] <= 2 * m
 
     @pytest.mark.parametrize("center", [False, True])

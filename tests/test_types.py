@@ -133,6 +133,8 @@ DATASET_VIOLATIONS = [
     (dict(views=_views((3, 5))), dict(graph=GraphRecipe(kind="lda")), "lda_requires_labels"),
     (dict(views=_views((3, 5)), labels=[0.0, 1.5, 1.7, 0.0, 1.0]), BUILD, "labels_not_integer"),
     (dict(views=_views((3, 5)), labels=["a", "b", "a", "b", "a"]), BUILD, "labels_not_integer"),
+    (dict(views=[*_views((3, 5)), np.full((2, 5), np.nan)]), BUILD, "view_not_finite"),
+    (dict(views=[np.array([[0.0, np.inf, 1.0]])]), BUILD, "view_not_finite"),
 ]
 
 
