@@ -60,8 +60,10 @@ def view_state(KPK, M) -> ViewState:
     copies of any you still need. The basis is checked against products with
     a fixed probe p, p_k = sin(k^2), taken before the solve (not the ones
     vector, which a centered kernel maps to zero). Each column b must meet
-    |p^T KPK b - lam p^T M b| <= 1e-14 (||KPK||_F + |lam| ||M||_F) ||b|| ||p||,
-    which permuted columns miss, and the basis ||B B^T M p - p|| <= 1e-15
+    |p^T KPK b - lam p^T M b| <= 1e-14 ((||KPK||_F + |lam| ||M||_F) ||b||
+    + max|lam| ||M||_F^(1/2)) ||p||, which permuted columns miss: the last term
+    is the Cholesky factor of M times the reduced solve's rounding, which scales
+    with the largest |lam| and not b's own. The basis ||B B^T M p - p|| <= 1e-15
     max ||b||^2 ||M||_F ||p||, which scaled ones miss; that scale grows with
     M's conditioning. NumericError otherwise."""
     p = np.sin(np.arange(1.0, KPK.shape[0] + 1) ** 2)
@@ -72,7 +74,8 @@ def view_state(KPK, M) -> ViewState:
     lam, B = pencil_eigh(KPK.T, M.T, driver="gvd", overwrite_a=True, overwrite_b=True)
     b_norms = np.linalg.norm(B, axis=0)
     resid = np.abs(Kp @ B - lam * (Mp @ B))
-    bad = np.flatnonzero(~(resid <= 1e-14 * (k_norm + np.abs(lam) * m_norm) * b_norms * p_norm))
+    bound = (k_norm + np.abs(lam) * m_norm) * b_norms + np.abs(lam).max() * np.sqrt(m_norm)
+    bad = np.flatnonzero(~(resid <= 1e-14 * bound * p_norm))
     if bad.size:
         raise NumericError(f"eigenpair {bad[0]} misses its pencil by {resid[bad[0]]:.3e}")
     drift = np.linalg.norm(B @ (B.T @ Mp) - p)
