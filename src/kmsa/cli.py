@@ -159,6 +159,8 @@ def cmd_eval(args) -> dict:
         raise ConfigError("train_frac_range", "--train-frac must lie in (0, 1)")
     if args.repeats < 1:
         raise ConfigError("repeats_range", "--repeats must be >= 1")
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError("seed_range", "--seed must be >= 0")
     task = "classification" if args.task == "classify" else "retrieval"
     if task == "classification" and args.top_n:
         raise ConfigError("top_n_task", "--top-n applies only to --task retrieve")

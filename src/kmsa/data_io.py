@@ -98,9 +98,7 @@ def _parse_rows(lines, start, path) -> np.ndarray:
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise FormatError(
-                f"{path}: ragged row {i} has {len(cells)} cells, expected {width}"
-            )
+            raise FormatError(f"{path}: ragged row {i} has {len(cells)} cells, expected {width}")
         rows.append([_parse_cell(c, path, i, j + 1) for j, c in enumerate(cells)])
     return np.asarray(rows, dtype=float)
 
@@ -110,8 +108,10 @@ def load_dataset(dir_path) -> MultiviewDataset:
     (one class id per line).
 
     Views are transposed to the column-major D_v x N convention and ordered by
-    ascending k. A dataset that MultiviewDataset rejects raises FormatError
-    with the rule's message and the files it judged.
+    ascending k. FormatError for two files of one k (view_1.csv, view_01.csv),
+    for a class id of 2^53 or more, which a double may not read exactly, and
+    for a dataset that MultiviewDataset rejects, with the rule's message and
+    the files it judged.
     """
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
@@ -119,9 +119,14 @@ def load_dataset(dir_path) -> MultiviewDataset:
     found = sorted(_indexed_files(dir_path, "view"))
     if not found:
         raise IoError(f"no view_<k>.csv files in {dir_path}")
+    for (k, a), (j, b) in zip(found, found[1:]):
+        if k == j:  # save_dataset would keep only view_<k>.csv
+            raise FormatError(f"{dir_path}: {a.name} and {b.name} both hold view {k}")
     views = [read_matrix_csv(p).T for _, p in found]
     labels_path = dir_path / "labels.csv"
     labels = read_matrix_csv(labels_path) if labels_path.exists() else None
+    if labels is not None and (labels >= 2.0**53).any():  # 2^53 + 1 reads as 2^53
+        raise FormatError(f"{dir_path}: class ids must be below 2^53 (from labels.csv)")
     if labels is not None and labels.shape[1] == 1:  # one id per line
         labels = labels[:, 0]
     try:
@@ -321,9 +326,7 @@ def load_training_data(model_path) -> MultiviewDataset:
 
 def save_report(report: dict, path) -> None:
     """Structured-text metrics file: JSON with sorted keys."""
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _finite_number(text: str) -> float:

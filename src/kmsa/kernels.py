@@ -3,11 +3,11 @@
 The Gaussian kernel uses k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); the
 bandwidth defaults to the median of pairwise distances so synthetic
 experiments are scale-free. A fit's kernel is the training set's raw kernel
-columns against itself, symmetrized; centering, off by default, makes it
-H K H with H = I - (1/N) 11^T. Training and new points embed through one
-rule, cross_kernel: their raw columns against the training samples, centered
-with the training kernel's row means, which a centered fit stores (the
-test-point centering of kernel PCA). A fit reads each view's squared
+columns against itself, exactly symmetric as computed; centering, off by
+default, makes it H K H with H = I - (1/N) 11^T by the row means a centered
+fit stores. Training and new points embed through one rule, cross_kernel:
+their raw columns against the training samples, centered with those means
+(the test-point centering of kernel PCA). A fit reads each view's squared
 distances from one Distances, shared with the median bandwidth and the lpp
 graph.
 """
@@ -106,13 +106,23 @@ def build_kernel(
     X: np.ndarray, spec: KernelSpec, center: bool = False, dists: Distances | None = None
 ) -> np.ndarray:
     """N x N kernel matrix of the view's columns: their raw kernel columns
-    against themselves, centered with their own row means when center is set,
-    exactly symmetrized. dists, X's Distances when the caller holds them,
-    supply the squared distances and the median a Gaussian kernel reads."""
+    against themselves, exactly symmetric as computed, or centered by
+    center_gram when center is set. dists, X's Distances when the caller holds
+    them, supply the squared distances and the median a Gaussian kernel reads."""
     K = _raw_kernel(Distances(X) if dists is None else dists, spec)
     if center:
-        _center(K, K.mean(axis=1))
-    return symmetrize(K)
+        center_gram(K)
+    return K
+
+
+def center_gram(K: np.ndarray) -> np.ndarray:
+    """Center a raw training kernel in place with its own row means, as
+    cross_kernel centers columns, and make it exactly symmetric; return the
+    means, with which a centered fit centers every point it embeds."""
+    means = K.mean(axis=1)
+    _center(K, means)
+    symmetrize(K)
+    return means
 
 
 def cross_kernel(

@@ -37,7 +37,9 @@ from .errors import (
     WeightDomainWarning,
 )
 from .graphs import build_graph, constraint_matrix, laplacian, lasso_codes
-from .kernels import Distances, build_kernel, cross_kernel, resolve_kernel_spec, symmetrize
+from .kernels import (
+    Distances, build_kernel, center_gram, cross_kernel, resolve_kernel_spec, symmetrize
+)
 from .types import KmsaConfig, KmsaModel, MultiviewDataset, validate_config
 
 MONOTONE_SLACK = 1e-8
@@ -185,7 +187,8 @@ def closed_form_weights(traces: np.ndarray, r: float):
 
 
 def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
-    """Resolved kernel specs and diagonalized kernel pencils for every view.
+    """Diagonalized kernel pencils, resolved kernel specs, the kernels' row
+    means when cfg centers (else None) and the log, for every view.
     The lasso codes of every spp view come first, from one lasso_codes queue,
     before any eigenbasis exists. The pencils follow one view at a time: a
     view's N x N temporaries, its codes included, are gone before the next
@@ -194,11 +197,9 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
     m = data.n_views
     recipes = cfg.graphs_for(m)
     spp = [v for v, recipe in enumerate(recipes) if recipe.kind == "spp"]
-    problems = [
-        (data.views[v], recipes[v].lasso_lambda, recipes[v].lasso_max_iters) for v in spp
-    ]
+    problems = [(data.views[v], recipes[v].lasso_lambda, recipes[v].lasso_max_iters) for v in spp]
     codes = dict(zip(spp, lasso_codes(problems)))  # v -> (M, finished)
-    specs, views, log = [], [], []
+    views, specs, means, log = [], [], [], []
     for v, (X, spec, recipe) in enumerate(zip(data.views, cfg.kernels_for(m), recipes)):
         if v in codes:
             cap, capped = recipe.lasso_max_iters, np.flatnonzero(~codes[v][1])
@@ -208,16 +209,18 @@ def _prepare_views(data: MultiviewDataset, cfg: KmsaConfig):
             log += [f"lasso column {i} hit the {cap}-step homotopy cap before lasso_lambda"
                     for i in capped]
         # the codes are handed on, not held here: _view_pencil frees them
-        spec, KPK, M = _view_pencil(X, data.labels, spec, recipe, cfg, codes.pop(v, (None,))[0])
+        spec, KPK, M, mu = _view_pencil(X, data.labels, spec, recipe, cfg, codes.pop(v, (None,))[0])
         specs.append(spec)
+        means.append(mu)
         views.append(view_state(KPK, M))
         del KPK, M
-    return views, tuple(specs), log
+    return views, tuple(specs), tuple(means) if cfg.center_kernel else None, log
 
 
 def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, codes):
-    """A view's resolved kernel spec, symmetrized K P K and ridged constraint
-    M; codes are an spp view's lasso codes M, else None. The graph, the median
+    """A view's resolved kernel spec, symmetrized K P K, ridged constraint M
+    and, when cfg centers, the row means K was centered with (else None);
+    codes are an spp view's lasso codes M, else None. The graph, the median
     bandwidth and the kernel read one Distances, computed when the first of
     them needs it, so a graph that reads no distances runs before any exist.
     The codes, the distances, the graph and K go out of scope here, before
@@ -226,18 +229,17 @@ def _view_pencil(X, labels, spec, recipe, cfg: KmsaConfig, codes):
     pair = build_graph(dists, labels, recipe, codes)
     del codes
     spec = resolve_kernel_spec(dists, spec)
-    K = build_kernel(X, spec, center=cfg.center_kernel, dists=dists)
+    K = build_kernel(X, spec, dists=dists)
     del dists
+    means = center_gram(K) if cfg.center_kernel else None
     S, B = pair.S, pair.B
     del pair
     KPK = K @ laplacian(S) @ K
     del S
-    return spec, symmetrize(KPK), constraint_matrix(K, B, cfg.ridge)
+    return spec, symmetrize(KPK), constraint_matrix(K, B, cfg.ridge), means
 
 
-def fit(
-    data: MultiviewDataset, cfg: KmsaConfig, learn_weights: bool = True
-) -> KmsaModel:
+def fit(data: MultiviewDataset, cfg: KmsaConfig, learn_weights: bool = True) -> KmsaModel:
     """Alternating optimization over coefficient matrices and view weights.
 
     Initializes each U_v from its co-regularizer-free eigenproblem and alpha
@@ -248,7 +250,7 @@ def fit(
     is the ablation baseline.
     """
     validate_config(cfg, data)
-    views, specs, log = _prepare_views(data, cfg)
+    views, specs, means, log = _prepare_views(data, cfg)
     m = data.n_views
 
     alpha = np.full(m, 1.0 / m)
@@ -292,13 +294,7 @@ def fit(
         if abs(value - prev) <= cfg.tol * (1.0 + abs(prev)):
             break
 
-    # the eigenbases go before the kernels come back, one view at a time; the
-    # uncentered build_kernel is the raw kernel, exactly symmetric, so each
-    # mean is the one the pencil's build_kernel centered with
-    del views
-    means = None
-    if cfg.center_kernel:
-        means = tuple(build_kernel(X, spec).mean(axis=1) for X, spec in zip(data.views, specs))
+    del views  # the eigenbases go before the kernels come back, one view at a time
     return KmsaModel(
         coefficients=tuple(Us),
         alpha=alpha,

@@ -20,6 +20,7 @@ KERNEL_KINDS = ("gaussian", "linear", "polynomial")
 GRAPH_KINDS = ("pca", "lpp", "lda", "spp")
 
 MEDIAN = "median"  # sentinel: resolve the Gaussian bandwidth by the median heuristic
+_DOUBLE_MAX = float(np.finfo(float).max)
 
 
 def _check(cond: bool, code: str, message: str) -> None:
@@ -32,12 +33,15 @@ def _json_value(owner: str, name: str, annotation: str, value):
 
     An int is accepted for a float and an integral float for an int; a
     float-or-string field takes either, and the spec judges the string.
-    A bool is never a number here, although Python treats it as one.
+    A bool is never a number here, although Python treats it as one. A
+    number its field cannot hold, an int field's beyond int64 or a float
+    field's int beyond the doubles, is of the wrong type.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if annotation == "int" and number and (isinstance(value, int) or value.is_integer()):
+    if annotation == "int" and number and -(2**63) <= value < 2**63 and value == int(value):
         return int(value)
-    if annotation in ("float", "Union[float, str]") and number:
+    double = number and (isinstance(value, float) or abs(value) <= _DOUBLE_MAX)
+    if annotation in ("float", "Union[float, str]") and double:
         return float(value)
     if annotation in ("str", "Union[float, str]") and isinstance(value, str):
         return value
@@ -87,9 +91,7 @@ class KernelSpec:
     offset: float = 1.0
 
     def __post_init__(self):
-        _check(
-            self.kind in KERNEL_KINDS, "unknown_kernel", f"unknown kernel {self.kind!r}"
-        )
+        _check(self.kind in KERNEL_KINDS, "unknown_kernel", f"unknown kernel {self.kind!r}")
         if self.kind == "gaussian":
             if isinstance(self.bandwidth, str):
                 _check(
@@ -131,16 +133,10 @@ class GraphRecipe:
     lasso_max_iters: int = 500
 
     def __post_init__(self):
-        _check(
-            self.kind in GRAPH_KINDS, "unknown_graph", f"unknown graph {self.kind!r}"
-        )
+        _check(self.kind in GRAPH_KINDS, "unknown_graph", f"unknown graph {self.kind!r}")
         if self.kind == "lpp":
             if isinstance(self.heat, str):
-                _check(
-                    self.heat == MEDIAN,
-                    "bad_heat",
-                    f"heat must be positive or {MEDIAN!r}",
-                )
+                _check(self.heat == MEDIAN, "bad_heat", f"heat must be positive or {MEDIAN!r}")
             else:
                 _check(self.heat > 0, "heat_not_positive", "lpp heat must be > 0")
         elif self.kind == "spp":
@@ -311,17 +307,9 @@ def validate_config(cfg: KmsaConfig, data: MultiviewDataset) -> None:
     _check(cfg.d <= n, "d_exceeds_n", f"d={cfg.d} exceeds sample count {n}")
 
     kernels = cfg.kernels_for(m)
-    _check(
-        len(kernels) == m,
-        "kernel_count_mismatch",
-        f"{len(kernels)} kernel specs for {m} views",
-    )
+    _check(len(kernels) == m, "kernel_count_mismatch", f"{len(kernels)} kernel specs for {m} views")
     recipes = cfg.graphs_for(m)
-    _check(
-        len(recipes) == m,
-        "graph_count_mismatch",
-        f"{len(recipes)} graph recipes for {m} views",
-    )
+    _check(len(recipes) == m, "graph_count_mismatch", f"{len(recipes)} graph recipes for {m} views")
     for recipe in recipes:
         if recipe.kind == "lpp":
             _check(

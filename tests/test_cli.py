@@ -178,6 +178,24 @@ class TestFit:
         assert code == 2
         assert err.startswith(f"error: {cfg}: invalid JSON: ") and "not a finite number" in err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"d": 2, "kappa": 1' + "0" * 400 + "}", "kappa"),
+        ('{"d": 2, "graph": {"kind": "spp", "lasso_max_iters": 100000000000000000000000}}',
+         "lasso_max_iters"),
+        ('{"d": 2, "max_iters": 1e300}', "max_iters"),
+    ], ids=["kappa-beyond-doubles", "lasso-iters-beyond-int64", "max-iters-beyond-int64"])
+    def test_config_number_its_field_cannot_hold_exits_one(
+        self, synth_dir, tmp_path, capsys, text, field
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        code, _, err = run(
+            capsys, "fit", "--data", str(synth_dir),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and f"field {field!r} has the wrong type" in err
+
     def test_byte_order_marks_are_read_past(self, synth_dir, tmp_path, capsys):
         # a BOM before the config's object, and before a view's first row
         cfg = tmp_path / "config.json"
@@ -232,9 +250,14 @@ class TestFit:
              "labels must be a vector of class ids (from labels.csv)"),
             ({"labels.csv": "0,1,1,0\n"},
              "labels must be a vector of class ids (from labels.csv)"),
+            # 2^53 and 2^53 + 1 would read as one class
+            ({"labels.csv": "9007199254740992\n9007199254740993\n0\n1\n"},
+             "class ids must be below 2^53 (from labels.csv)"),
+            # save_dataset would take view_01.csv for a stale copy of view 1
+            ({"view_01.csv": "1\n2\n3\n4\n"}, "view_01.csv and view_1.csv both hold view 1"),
         ],
         ids=["sample-counts", "labels-count", "fractional-id", "negative-id",
-             "ids-in-columns", "ids-in-one-row"],
+             "ids-in-columns", "ids-in-one-row", "ids-beyond-doubles", "one-view-twice"],
     )
     def test_each_dataset_file_fault_exits_two(self, tmp_path, capsys, files, message):
         # MultiviewDataset judges a dataset once; a file that breaks one of its
@@ -427,6 +450,9 @@ class TestTransform:
         # json.dumps writes an infinite kappa as the non-JSON Infinity
         pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kappa": float("inf")}},
                      id="config-kappa-infinity"),
+        pytest.param(lambda doc: {**doc, "config": {**doc["config"], "kappa": 10**400}},
+                     id="config-kappa-beyond-doubles"),
+        pytest.param(with_kernel(kind="polynomial", degree=2**63), id="kernel-degree-beyond-int64"),
         pytest.param(lambda doc: {**doc, "kernels": doc["kernels"][1:]}, id="kernels-short"),
         pytest.param(lambda doc: {**doc, "alpha": doc["alpha"][1:]}, id="alpha-short"),
         pytest.param(lambda doc: {**doc, "alpha": [], "kernels": []}, id="no-views"),
@@ -597,6 +623,23 @@ class TestEval:
         )
         assert code == 1
         assert "--repeats must be >= 1" in err
+
+    def test_negative_seed_exits_one_before_any_fit(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        # numpy's generators refuse a negative seed with a ValueError, which
+        # main would word as a numeric failure
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before --seed was checked")
+
+        monkeypatch.setattr(kmsa.optimizer, "fit", no_fit)
+        code, _, err = run(
+            capsys, "eval", "--task", "classify", "--data", str(synth_dir),
+            "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "x.json"),
+            "--seed", "-5",
+        )
+        assert code == 1
+        assert err == "error: --seed must be >= 0\n"
 
     @pytest.mark.filterwarnings("ignore::kmsa.errors.WeightDomainWarning")
     def test_lda_split_without_class_zero(self, tmp_path, capsys):

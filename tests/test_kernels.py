@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmsa import KernelSpec, NumericError, build_kernel, kernels, median_heuristic_bandwidth
-from kmsa.kernels import Distances, cross_kernel, resolve_kernel_spec
+from kmsa.kernels import Distances, center_gram, cross_kernel, resolve_kernel_spec
 
 
 def test_gaussian_identical_columns_give_one():
@@ -119,11 +119,10 @@ def test_resolve_median_spec(rng):
     KernelSpec(kind="polynomial", degree=3, offset=0.5),
 ], ids=["gaussian", "linear", "polynomial"])
 def test_cross_kernel_reproduces_training_columns(rng, spec):
-    # the raw training kernel is exactly symmetric, so the uncentered
-    # build_kernel is it to the bit and has the row means a centered pencil
-    # is centered with; cross_kernel takes training columns by the route of
-    # new points, whether or not they share X's buffer (at N=12 the routes
-    # round apart)
+    # the raw training kernel is exactly symmetric, and the uncentered
+    # build_kernel returns it as it is; cross_kernel takes training columns
+    # by the route of new points, whether or not they share X's buffer (at
+    # N=12 the routes round apart)
     X = rng.standard_normal((4, 12))
     raw = kernels._raw_kernel(Distances(X), spec)
     assert np.array_equal(raw, raw.T)
@@ -185,6 +184,20 @@ def test_centered_build_kernel_computes_the_raw_kernel_once(rng, monkeypatch, ki
     H = np.eye(9) - np.full((9, 9), 1.0 / 9)
     raw = real_raw(Distances(X), KernelSpec(kind=kind))
     assert np.allclose(K, H @ raw @ H, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "linear", "polynomial"])
+def test_center_gram_returns_the_row_means_it_centered_with(rng, kind):
+    # a centered fit stores these means and centers every point it embeds
+    # with them, so they must be the raw kernel's, taken before centering
+    X = rng.standard_normal((3, 9))
+    K = build_kernel(X, KernelSpec(kind=kind))
+    raw = K.copy()
+    means = center_gram(K)
+    assert np.array_equal(means, raw.mean(axis=1))
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K, build_kernel(X, KernelSpec(kind=kind), center=True))
+    assert np.allclose(K, cross_kernel(X, X, KernelSpec(kind=kind), means), atol=1e-12)
 
 
 def test_center_kernel_matches_projection_form(rng):

@@ -1052,6 +1052,24 @@ class TestWorkingSet:
         assert calls["pairwise_sq_dists"] <= 2 * m
 
     @pytest.mark.parametrize("center", [False, True])
+    def test_each_view_builds_its_kernel_twice(self, monkeypatch, center):
+        # once for the pencil, where a centered fit takes its row means, and
+        # once for the embedding
+        calls = []
+        real_raw = kernels._raw_kernel
+
+        def counting_raw(*args, **kwargs):
+            calls.append(1)
+            return real_raw(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_raw_kernel", counting_raw)
+        data = generate_synthetic(per_class=5, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightDomainWarning)
+            fit(data, KmsaConfig(d=2, max_iters=2, center_kernel=center))
+        assert len(calls) == 2 * data.n_views
+
+    @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("recipe", ["pca", "lpp", "lda", "spp"])
     def test_embeddings_are_the_rebuilt_kernels_projections(self, recipe, center):
         # centered, the stored row means are those the pencil's kernel was

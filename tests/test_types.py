@@ -316,6 +316,12 @@ def test_to_dict_writes_every_field():
         (None, "bad_type"),
         ([{"d": 3}], "bad_type"),
         ({"d": 3, "seed": 0}, "unknown_key"),  # a field up to model format 2
+        # a number its field cannot hold: an int beyond the doubles or int64
+        ({"d": 3, "kappa": 10**400}, "bad_type"),
+        ({"d": 3, "kernel": {"bandwidth": -(10**400)}}, "bad_type"),
+        ({"d": 2**63}, "bad_type"),
+        ({"d": 3, "max_iters": 1e300}, "bad_type"),
+        ({"d": 3, "graph": [{"kind": "spp", "lasso_max_iters": 10**23}]}, "bad_type"),
     ],
 )
 def test_from_dict_rejects_bad_documents(doc, code):
